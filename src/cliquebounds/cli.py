@@ -284,6 +284,8 @@ def _sweep_exit_code(args, result) -> int:
     violations = [f for f in result.findings if f.category == CATEGORY_BOUND_VIOLATION]
     if violations:
         return EXIT_INTERNAL
+    if result.summary["cap_errors"]:
+        return EXIT_FINDINGS
     fail_on = {c.strip() for c in (args.fail_on or "").split(",") if c.strip()}
     if any(f.category in fail_on for f in result.findings):
         return EXIT_FINDINGS

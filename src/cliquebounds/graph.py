@@ -187,6 +187,8 @@ def parse_graph6(text: str) -> Graph:
         raise GraphError("empty graph6 input")
     if line.startswith(">>graph6<<"):
         line = line[10:]
+        if not line:
+            raise GraphError("no graph after the >>graph6<< header")
     first = ord(line[0])
     if first == 126:
         raise GraphError("byte 0: graph6 long form (n > 62) is not supported")
@@ -292,12 +294,16 @@ def is_clique(g: Graph, vertices: int) -> bool:
 
 def reachable_within(adj: Sequence[int], sources: int, allowed: int) -> int:
     """Vertices of ``allowed`` reachable from ``sources`` using only allowed vertices."""
+    # The inner step of every exact weight search: walk the frontier's bits
+    # inline, since a generator per wave costs more than the wave itself.
     seen = 0
     frontier = sources
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen

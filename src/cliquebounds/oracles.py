@@ -16,7 +16,7 @@ from .graph import Graph, iter_bits
 from .weights import CapExceededError, WeightMap
 
 NAIVE_CLIQUE_CAP = 10
-DP_WEIGHT_CAP = 9
+DP_WEIGHT_CAP = 12
 
 
 def _check_cap(g: Graph, cap: int, what: str) -> None:

@@ -6,13 +6,30 @@ on no cycle. Both are exact: a two-sided DFS enumerates path arms on either
 side of the edge, pruned by the current best and a reachability upper bound.
 No heuristic fallback exists above the vertex cap; bounds computed from
 underestimated weights would be unsound, so we fail loudly instead.
+
+``all_weights`` runs the same searches as the per-edge functions, with three
+shortcuts that cannot change a result:
+
+- Block restriction. A cycle lies inside one biconnected block (Hopcroft and
+  Tarjan), so a bridge has c(e) = 2 without a search, and every other cycle
+  search runs on its block's vertices. A path search runs on its component.
+- Witnessed incumbents. Each search returns the vertex sequence of its best
+  path or cycle. A cycle of length L shows c >= L and p >= L - 1 for every
+  edge on it (drop another of its edges); a path of length L shows p >= L
+  for every edge on it. A later search starts from its edge's bound and
+  prunes only what cannot beat it, so it returns the true maximum whenever
+  that is larger, and otherwise the bound, which a concrete path attains.
+- Ceiling skip. No search runs once the bound equals the ceiling: the
+  block's vertex count for c(e), the component's vertex count minus 1 for
+  p(e).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graph import Graph, GraphError, delete_edges, is_clique, iter_bits, reachable_within
+from .graph import Graph, GraphError, connected_components, is_clique, iter_bits, reachable_within
 
 DEFAULT_EXACT_CAP = 20
 
@@ -52,87 +69,152 @@ def _check_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _longest_path(adj: Sequence[int], u: int, v: int, allowed: int, best: int) -> tuple[int, list[int] | None]:
+    """Longest simple path through edge uv inside ``allowed``, if longer than ``best``.
+
+    Returns the best length and the vertex sequence of a path of that length,
+    or ``None`` for the sequence when no path beats the given ``best``.
+    """
+    vbit = 1 << v
+    left = [u]  # the u-arm, from u outwards
+    right = [v]  # the v-arm, from v outwards
+    witness: list[int] | None = None
+
+    def arm_v(end: int, free: int, length: int) -> None:
+        nonlocal best, witness
+        if length > best:
+            best = length
+            witness = left[::-1] + right
+        cand = adj[end] & free
+        if not cand:
+            return
+        reach = reachable_within(adj, 1 << end, free)
+        if length + reach.bit_count() <= best:
+            return
+        while cand:
+            low = cand & -cand
+            right.append(low.bit_length() - 1)
+            arm_v(right[-1], free ^ low, length + 1)
+            right.pop()
+            cand ^= low
+
+    def arm_u(end: int, free: int, length: int) -> None:
+        # Every completion adds one edge per new vertex, and new vertices must
+        # be reachable from the current u-arm tip or from v through free ones.
+        reach = reachable_within(adj, (1 << end) | vbit, free)
+        if length + 1 + reach.bit_count() <= best:
+            return
+        arm_v(v, free, length + 1)
+        cand = adj[end] & free
+        while cand:
+            low = cand & -cand
+            left.append(low.bit_length() - 1)
+            arm_u(left[-1], free ^ low, length + 1)
+            left.pop()
+            cand ^= low
+
+    arm_u(u, allowed & ~(1 << u) & ~vbit, 0)
+    return best, witness
+
+
+def _longest_cycle(adj: Sequence[int], u: int, v: int, allowed: int, best: int) -> tuple[int, list[int] | None]:
+    """Longest u-v path other than the edge uv inside ``allowed``, if longer than ``best``.
+
+    The path closes into a cycle with uv. Returns the best path length and
+    the vertex sequence u..v of a path of that length, or ``None`` for the
+    sequence when no path beats the given ``best``.
+    """
+    vbit = 1 << v
+    trail = [u]
+    witness: list[int] | None = None
+
+    def walk(end: int, free: int, length: int) -> None:
+        nonlocal best, witness
+        if end == v:
+            if length > best:
+                best = length
+                witness = trail[:]
+            return
+        reach = reachable_within(adj, 1 << end, free)
+        if not reach & vbit or length + reach.bit_count() <= best:
+            return
+        cand = adj[end] & free
+        while cand:
+            low = cand & -cand
+            trail.append(low.bit_length() - 1)
+            walk(trail[-1], free ^ low, length + 1)
+            trail.pop()
+            cand ^= low
+
+    # Leaving u by any edge but uv means the path never uses uv: u is spent.
+    free = allowed & ~(1 << u)
+    cand = adj[u] & free & ~vbit
+    while cand:
+        low = cand & -cand
+        trail.append(low.bit_length() - 1)
+        walk(trail[-1], free ^ low, 1)
+        trail.pop()
+        cand ^= low
+    return best, witness
+
+
 def longest_path_through_edge(g: Graph, e: tuple[int, int], cap: int = DEFAULT_EXACT_CAP) -> int:
     """p(e): edges on the longest simple path containing e (>= 1, the edge itself)."""
     u, v = _check_edge(g, e)
     _check_cap(g, cap, "longest path through an edge")
-    adj = g.adj
-    full = g.vertex_mask()
-    vbit = 1 << v
-    best = 1
-
-    def arm_v(end: int, used: int, length: int) -> None:
-        nonlocal best
-        if length > best:
-            best = length
-        cand = adj[end] & ~used
-        if not cand:
-            return
-        reach = reachable_within(adj, 1 << end, full & ~used)
-        if length + reach.bit_count() <= best:
-            return
-        for w in iter_bits(cand):
-            arm_v(w, used | (1 << w), length + 1)
-
-    def arm_u(end: int, used: int, length: int) -> None:
-        # Every completion adds one edge per new vertex, and new vertices must
-        # be reachable from the current u-arm tip or from v through unused ones.
-        unused = full & ~used & ~vbit
-        reach = reachable_within(adj, (1 << end) | vbit, unused)
-        if length + 1 + reach.bit_count() <= best:
-            return
-        arm_v(v, used | vbit, length + 1)
-        for w in iter_bits(adj[end] & unused):
-            arm_u(w, used | (1 << w), length + 1)
-
-    arm_u(u, 1 << u, 0)
-    return best
-
-
-def _longest_path_between(g: Graph, u: int, v: int) -> int | None:
-    """Length of the longest simple u-v path, or None if v is unreachable."""
-    adj = g.adj
-    full = g.vertex_mask()
-    best: int | None = None
-
-    def walk(end: int, used: int, length: int) -> None:
-        nonlocal best
-        if end == v:
-            if best is None or length > best:
-                best = length
-            return
-        allowed = full & ~used
-        reach = reachable_within(adj, 1 << end, allowed)
-        if not (reach >> v) & 1:
-            return
-        if best is not None and length + reach.bit_count() <= best:
-            return
-        for w in iter_bits(adj[end] & allowed):
-            walk(w, used | (1 << w), length + 1)
-
-    walk(u, 1 << u, 0)
-    return best
+    return _longest_path(g.adj, u, v, g.vertex_mask(), 1)[0]
 
 
 def longest_cycle_through_edge(g: Graph, e: tuple[int, int], cap: int = DEFAULT_EXACT_CAP) -> int:
     """c(e): length of the longest cycle through e, or 2 when e lies on no cycle."""
     u, v = _check_edge(g, e)
     _check_cap(g, cap, "longest cycle through an edge")
-    stripped = delete_edges(g, [(u, v)])
-    path = _longest_path_between(stripped, u, v)
-    if path is None:
-        return 2
-    return path + 1
+    # A best path length of 1 stands for "no u-v path besides uv", so c = 2.
+    return _longest_cycle(g.adj, u, v, g.vertex_mask(), 1)[0] + 1
+
+
+def _raise_along(bounds: dict[tuple[int, int], int], seq: list[int], length: int) -> None:
+    """Raise the bound of every edge between consecutive vertices of ``seq`` to ``length``."""
+    for x, y in zip(seq, seq[1:]):
+        key = (x, y) if x < y else (y, x)
+        if bounds[key] < length:
+            bounds[key] = length
 
 
 def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
     """p(e) and c(e) for every edge, with the global longest path and circumference."""
     _check_cap(g, cap, "weight computation")
-    p: dict[tuple[int, int], int] = {}
-    c: dict[tuple[int, int], int] = {}
-    for e in g.edges():
-        p[e] = longest_path_through_edge(g, e, cap)
-        c[e] = longest_cycle_through_edge(g, e, cap)
+    adj = g.adj
+    edges = g.edges()
+    # Lower bounds, each witnessed by a concrete path or cycle (or by e itself).
+    p = dict.fromkeys(edges, 1)
+    c = dict.fromkeys(edges, 2)
+    component = {}
+    for mask in connected_components(g):
+        for x in iter_bits(mask):
+            component[x] = mask
+    block = {}
+    decomp = block_decomposition(g)
+    for edge_set, mask in zip(decomp.blocks, block_vertex_sets(decomp)):
+        if len(edge_set) > 1:  # a bridge lies on no cycle: c = 2
+            for edge in edge_set:
+                block[edge] = mask
+
+    for e in edges:
+        u, v = e
+        mask = block.get(e)
+        if mask is not None and c[e] < mask.bit_count():
+            length, cyc = _longest_cycle(adj, u, v, mask, c[e] - 1)
+            if cyc is not None:
+                # A cycle of length L witnesses c >= L and, minus any other
+                # of its edges, a path of length L - 1 through each edge.
+                cyc.append(u)
+                _raise_along(c, cyc, length + 1)
+                _raise_along(p, cyc, length)
+        if p[e] < component[u].bit_count() - 1:
+            length, path = _longest_path(adj, u, v, component[u], p[e])
+            if path is not None:
+                _raise_along(p, path, length)
     longest_path = max(p.values(), default=0)
     circumference = max((length for length in c.values() if length >= 3), default=0)
     return WeightMap(g.degrees(), p, c, longest_path, circumference)

@@ -3,7 +3,7 @@
 import io
 import json
 
-from cliquebounds.cli import EXIT_OK, EXIT_USAGE, main
+from cliquebounds.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -75,6 +75,11 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_bare_graph6_header_exits_2(self, capsys):
+        code, _, err = run(capsys, "analyze", ">>graph6<<")
+        assert code == EXIT_USAGE
+        assert "no graph after" in err
+
 
 class TestVerify:
     def test_k4_stream_yields_one_equality_row_per_kind(self, capsys, monkeypatch):
@@ -116,6 +121,17 @@ class TestVerify:
             capsys, "verify", str(path), "--t", "2", "--fail-on", "CHAR_DISCREPANCY"
         )
         assert code == 1
+
+    def test_cap_errors_are_not_a_clean_run(self, capsys, tmp_path):
+        from cliquebounds import from_edge_list, write_graph6
+
+        path = tmp_path / "p21.g6"
+        path.write_text(write_graph6(from_edge_list(21, [(i, i + 1) for i in range(20)])) + "\n")
+        summary = tmp_path / "s.json"
+        code, out, _ = run(capsys, "verify", str(path), "--summary", str(summary))
+        assert code == EXIT_FINDINGS
+        assert "cap errors: 1" in out
+        assert len(json.loads(summary.read_text())["cap_errors"]) == 1
 
     def test_outputs_written(self, capsys, tmp_path):
         src = tmp_path / "k4.g6"

@@ -103,6 +103,10 @@ class TestGraph6:
     def test_header_prefix_accepted(self):
         assert parse_graph6(">>graph6<<C~") == K(4)
 
+    def test_bare_header_rejected(self):
+        with pytest.raises(GraphError, match="no graph after"):
+            parse_graph6(">>graph6<<")
+
     def test_bad_character_names_offset(self):
         with pytest.raises(GraphError, match="byte 1: invalid graph6 character"):
             parse_graph6("C\x01")

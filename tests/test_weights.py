@@ -13,7 +13,7 @@ from cliquebounds import (
     longest_path_through_edge,
 )
 from cliquebounds.enumeration import random_gnp
-from cliquebounds.graph import GraphError
+from cliquebounds.graph import GraphError, connected_components
 from cliquebounds.oracles import dp_all_weights
 from cliquebounds.weights import block_vertex_sets
 
@@ -59,6 +59,11 @@ class TestPathWeight:
         with pytest.raises(CapExceededError):
             longest_path_through_edge(big, (0, 1))
         assert longest_path_through_edge(big, (0, 1), cap=21) == 20
+        with pytest.raises(CapExceededError):
+            all_weights(big)
+        w = all_weights(big, cap=21)
+        assert set(w.p.values()) == {20} and set(w.c.values()) == {2}
+        assert w.longest_path == 20 and w.circumference == 0
 
 
 class TestCycleWeight:
@@ -97,9 +102,10 @@ class TestWeightMap:
         assert w.circumference == 3
 
     def test_edgeless(self):
-        w = all_weights(from_edge_list(3, []))
-        assert w.p == {} and w.c == {}
-        assert w.longest_path == 0 and w.circumference == 0
+        for n in (0, 1, 2, 3, 5):
+            w = all_weights(from_edge_list(n, []))
+            assert w.p == {} and w.c == {}
+            assert w.longest_path == 0 and w.circumference == 0
 
     def test_weight_ranges(self, corpus6):
         for g in corpus6:
@@ -142,6 +148,94 @@ class TestWeightMap:
             assert max(w.p.values()) == r
             oracle = dp_all_weights(g)
             assert oracle.longest_path == r
+
+
+def disjoint_union(*graphs):
+    edges, offset = [], 0
+    for g in graphs:
+        edges.extend((u + offset, v + offset) for u, v in g.edges())
+        offset += g.n
+    return from_edge_list(offset, edges)
+
+
+def with_edges(g, extra):
+    return from_edge_list(g.n, g.edges() + list(extra))
+
+
+def per_edge_weights(g):
+    """p and c from one unseeded search per edge and quantity."""
+    p = {e: longest_path_through_edge(g, e) for e in g.edges()}
+    c = {e: longest_cycle_through_edge(g, e) for e in g.edges()}
+    return p, c
+
+
+class TestWeightKernel:
+    """The block restriction, shared incumbents and ceiling skip of all_weights."""
+
+    def test_unequal_components_use_their_own_ceiling(self):
+        # P5 + K3 + an isolated vertex: the p-ceiling is 4 and 2, never n - 1 = 8
+        g = disjoint_union(path(5), K(3), from_edge_list(1, []))
+        w = all_weights(g)
+        assert w.p == {e: 4 if e[1] < 5 else 2 for e in g.edges()}
+        assert w.c == {e: 2 if e[1] < 5 else 3 for e in g.edges()}
+        assert w.longest_path == 4 and w.circumference == 3
+        assert (w.p, w.c) == per_edge_weights(g)
+
+    def test_k4_and_triangle_joined_by_a_bridge(self):
+        g = with_edges(disjoint_union(K(4), K(3)), [(3, 4)])
+        w = all_weights(g)
+        assert set(w.p.values()) == {6}
+        assert w.c[(3, 4)] == 2
+        assert all(w.c[e] == 4 for e in K(4).edges())
+        assert w.c[(4, 5)] == w.c[(4, 6)] == w.c[(5, 6)] == 3
+        assert w.longest_path == 6 and w.circumference == 4
+        assert (w.p, w.c) == per_edge_weights(g)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_complete(self, n):
+        w = all_weights(K(n))
+        assert set(w.p.values()) == {n - 1}
+        assert set(w.c.values()) == {n if n >= 3 else 2}
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_cycle(self, n):
+        w = all_weights(cycle(n))
+        assert set(w.p.values()) == {n - 1}
+        assert set(w.c.values()) == {n}
+
+    def test_unseeded_per_edge_calls_agree(self, corpus6):
+        for g in corpus6:
+            w = all_weights(g)
+            assert (w.p, w.c) == per_edge_weights(g), g
+
+
+def oracle_corpus():
+    """Seeded graphs on 10..12 vertices, with and without cut structure."""
+    out = []
+    for n in (10, 11, 12):
+        for p in (0.2, 0.3, 0.5):
+            out.extend(random_gnp(n, p, seed) for seed in range(3))
+        # two dense pieces joined by a bridge, plus an isolated vertex
+        a, b = random_gnp(5, 0.7, seed=n), random_gnp(n - 6, 0.7, seed=n + 1)
+        out.append(with_edges(disjoint_union(a, b, from_edge_list(1, [])), [(4, 5)]))
+        # three cycles sharing one vertex: every block is a cycle
+        spokes = [(0, 1), (0, 3), (0, 4), (0, 6), (0, 7), (0, n - 1)]
+        rims = [(1, 2), (2, 3), (4, 5), (5, 6)] + [(i, i + 1) for i in range(7, n - 1)]
+        out.append(from_edge_list(n, spokes + rims))
+    return out
+
+
+def test_oracle_agreement_up_to_twelve_vertices():
+    graphs = oracle_corpus()
+    # the corpus has bridges, cut vertices, several components and isolated vertices
+    assert any(2 in all_weights(g).c.values() for g in graphs)
+    assert any(block_decomposition(g).articulation_points for g in graphs)
+    assert any(len(connected_components(g)) > 1 for g in graphs)
+    assert any(0 in g.degrees() for g in graphs)
+    for g in graphs:
+        fast = all_weights(g)
+        slow = dp_all_weights(g)
+        assert fast == slow, g
 
 
 class TestBlocks:
