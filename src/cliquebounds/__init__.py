@@ -70,6 +70,7 @@ from .search import (
     GraphSource,
     SearchConfig,
     SweepResult,
+    evaluate_graph,
     replay_finding,
     run_sweep,
 )

@@ -11,23 +11,30 @@ Each bound comes with a characterization of the graphs attaining it:
 
 Certificates are always computed independently of the equality flags so the
 "if and only if" claims are tested empirically rather than assumed; a
-discrepancy between the two is a first-class outcome, not an error.
+discrepancy between the two is a first-class outcome, not an error. Each
+certificate keeps the graph it was checked on and encodes it as graph6 only
+when rendered.
 
+``cross_validate`` and ``conjecture_verdict`` compare the equality flag and
+the certificate of reports that were already evaluated (see
+``search.evaluate_graph``); they count nothing and rebuild no certificate.
 For the vertex side the threshold deletion is iterated to its fixed point
 (the (t-1)-core) before the equality/certificate pair is compared: one
 deletion round can drop surviving degrees below the threshold again, and the
 characterization is only meaningful once the graph is stable under the
-reduction. Both the reduced and the unreduced comparisons are reported.
+reduction. Both the reduced and the unreduced comparisons are reported. The
+core needs no recount: every K_t lies inside the (t-1)-core, because each of
+its vertices has t-1 neighbours in it, so the core's K_t count is g's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .bounds import equals_count, local_edge_cycle_bound, local_edge_path_bound, local_vertex_bound
-from .cliques import count_cliques
+from .bounds import BoundReport, equals_count, local_vertex_bound
 from .graph import Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits, write_graph6
-from .weights import WeightMap, all_weights, block_decomposition, block_vertex_sets
+from .weights import BlockDecomposition, WeightMap, block_decomposition, block_vertex_sets
 
 VERDICT_BOTH_HOLD = "both-hold"
 VERDICT_BOTH_FAIL = "both-fail"
@@ -42,7 +49,7 @@ class EqualityCertificate:
     kind: str
     holds: bool
     evidence: int | None  # offending component/block as a vertex bitmask, original ids
-    reduced_graph6: str
+    reduced: Graph  # the graph the check ran on
     description: str
 
     def to_json_dict(self) -> dict:
@@ -50,7 +57,7 @@ class EqualityCertificate:
             "kind": self.kind,
             "holds": self.holds,
             "evidence": sorted(iter_bits(self.evidence)) if self.evidence is not None else None,
-            "reduced_graph6": self.reduced_graph6,
+            "reduced_graph6": write_graph6(self.reduced),
             "description": self.description,
         }
 
@@ -94,7 +101,7 @@ def w_set(g: Graph, weights: WeightMap, t: int) -> list[tuple[int, int]]:
 
 
 def _clique_components_certificate(
-    g: Graph, reduced: Graph, id_map: tuple[int, ...] | None, kind: str, description: str
+    reduced: Graph, id_map: tuple[int, ...] | None, kind: str, description: str
 ) -> EqualityCertificate:
     evidence = None
     holds = True
@@ -108,7 +115,7 @@ def _clique_components_certificate(
                 for i in iter_bits(comp):
                     evidence |= 1 << id_map[i]
             break
-    return EqualityCertificate(kind, holds, evidence, write_graph6(reduced), description)
+    return EqualityCertificate(kind, holds, evidence, reduced, description)
 
 
 def vertex_equality_certificate(g: Graph, t: int) -> EqualityCertificate:
@@ -116,7 +123,7 @@ def vertex_equality_certificate(g: Graph, t: int) -> EqualityCertificate:
     keep = x_set(g, t)
     reduced, id_map = induced_subgraph(g, keep)
     return _clique_components_certificate(
-        g, reduced, id_map, "vertex", f"components of induced subgraph on degree >= {t - 1} vertices"
+        reduced, id_map, "vertex", f"components of induced subgraph on degree >= {t - 1} vertices"
     )
 
 
@@ -125,7 +132,7 @@ def vertex_core_certificate(g: Graph, t: int) -> EqualityCertificate:
     keep = x_core(g, t)
     reduced, id_map = induced_subgraph(g, keep)
     return _clique_components_certificate(
-        g, reduced, id_map, "vertex-core", f"components of the {t - 1}-core"
+        reduced, id_map, "vertex-core", f"components of the {t - 1}-core"
     )
 
 
@@ -133,7 +140,7 @@ def edge_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityC
     """Every component after deleting short-path edges is a clique (vertices kept)."""
     stripped = delete_edges(g, z_set(g, weights, t))
     return _clique_components_certificate(
-        g, stripped, None, "edge", f"components after deleting edges with p(e)+1 < {t}"
+        stripped, None, "edge", f"components after deleting edges with p(e)+1 < {t}"
     )
 
 
@@ -149,11 +156,7 @@ def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> Equality
             evidence = mask
             break
     return EqualityCertificate(
-        "cycle",
-        holds,
-        evidence,
-        write_graph6(stripped),
-        f"block structure after deleting edges with c(e) < {t}",
+        "cycle", holds, evidence, stripped, f"block structure after deleting edges with c(e) < {t}"
     )
 
 
@@ -180,7 +183,8 @@ class CrossValidation:
     vertex_certificate: bool
     vertex_core_equality: bool
     vertex_core_certificate: bool
-    vertex_core_graph6: str
+    vertex_core: Graph
+    vertex_core_bound: Fraction
     vertex_verdict: str
     edge_equality: bool | None
     edge_certificate: bool | None
@@ -194,7 +198,7 @@ class CrossValidation:
                 "certificate": self.vertex_certificate,
                 "core_equality": self.vertex_core_equality,
                 "core_certificate": self.vertex_core_certificate,
-                "core_graph6": self.vertex_core_graph6,
+                "core_graph6": write_graph6(self.vertex_core),
                 "verdict": self.vertex_verdict,
             },
             "edge": {
@@ -205,45 +209,31 @@ class CrossValidation:
         }
 
 
-def cross_validate(g: Graph, t: int, weights: WeightMap | None = None) -> CrossValidation:
-    """Test the equality characterizations on one graph at one clique order."""
-    if t < 1:
-        raise ValueError(f"clique order must be >= 1, got {t}")
-    count = count_cliques(g, t).total
+def cross_validate(g: Graph, vertex: BoundReport, edge: BoundReport | None = None) -> CrossValidation:
+    """Test the equality characterizations on one graph at one clique order.
 
-    vertex_equality = equals_count(count, local_vertex_bound(g, t))
-    vertex_certificate = vertex_equality_certificate(g, t).holds
-
-    core_mask = x_core(g, t)
-    core, _ = induced_subgraph(g, core_mask)
-    core_count = count_cliques(core, t).total
-    vertex_core_equality = equals_count(core_count, local_vertex_bound(core, t))
+    ``vertex`` and ``edge`` are the local_vertex and local_edge_path reports
+    already evaluated at that order; the edge pair is exempt without one.
+    """
+    t = vertex.t
     core_cert = vertex_core_certificate(g, t)
-    vertex_core_certificate_holds = core_cert.holds
-
-    if t >= 2:
-        vertex_verdict = _verdict(vertex_core_equality, vertex_core_certificate_holds)
-    else:
-        vertex_verdict = VERDICT_EXEMPT
-
-    if t >= 2:
-        if weights is None:
-            weights = all_weights(g)
-        edge_equality = equals_count(count, local_edge_path_bound(g, weights, t))
-        edge_certificate = edge_equality_certificate(g, weights, t).holds
-        edge_verdict = _verdict(edge_equality, edge_certificate) if t >= 3 else VERDICT_EXEMPT
-    else:
-        edge_equality = None
-        edge_certificate = None
+    core_bound = local_vertex_bound(core_cert.reduced, t)
+    core_equality = equals_count(vertex.count, core_bound)
+    vertex_verdict = _verdict(core_equality, core_cert.holds) if t >= 2 else VERDICT_EXEMPT
+    if edge is None:
+        edge_equality = edge_certificate = None
         edge_verdict = VERDICT_EXEMPT
-
+    else:
+        edge_equality, edge_certificate = edge.equality, edge.certificate.holds
+        edge_verdict = _verdict(edge_equality, edge_certificate) if t >= 3 else VERDICT_EXEMPT
     return CrossValidation(
         t=t,
-        vertex_equality=vertex_equality,
-        vertex_certificate=vertex_certificate,
-        vertex_core_equality=vertex_core_equality,
-        vertex_core_certificate=vertex_core_certificate_holds,
-        vertex_core_graph6=core_cert.reduced_graph6,
+        vertex_equality=vertex.equality,
+        vertex_certificate=vertex.certificate.holds,
+        vertex_core_equality=core_equality,
+        vertex_core_certificate=core_cert.holds,
+        vertex_core=core_cert.reduced,
+        vertex_core_bound=core_bound,
         vertex_verdict=vertex_verdict,
         edge_equality=edge_equality,
         edge_certificate=edge_certificate,
@@ -251,14 +241,9 @@ def cross_validate(g: Graph, t: int, weights: WeightMap | None = None) -> CrossV
     )
 
 
-def conjecture_verdict(g: Graph, weights: WeightMap, t: int, count: int | None = None) -> tuple[str, bool, bool]:
-    """(verdict, equality, certificate) for the conjectured cycle bound at order t."""
-    if count is None:
-        count = count_cliques(g, t).total
-    equality = equals_count(count, local_edge_cycle_bound(g, weights, t))
-    certificate = cycle_equality_certificate(g, weights, t).holds
-    verdict = _verdict(equality, certificate) if t >= 3 else VERDICT_EXEMPT
-    return verdict, equality, certificate
+def conjecture_verdict(cycle: BoundReport) -> str:
+    """Equality versus the block-forest certificate of an evaluated cycle report."""
+    return _verdict(cycle.equality, cycle.certificate.holds) if cycle.t >= 3 else VERDICT_EXEMPT
 
 
 def is_disjoint_clique_union(g: Graph, size: int) -> bool:
@@ -279,9 +264,8 @@ def is_clique_union_with_isolated(g: Graph, size: int) -> bool:
     return True
 
 
-def is_block_forest_of_kr(g: Graph, r: int) -> bool:
-    """True iff every block is a clique on exactly r vertices (isolated vertices allowed)."""
-    decomp = block_decomposition(g)
+def is_block_forest_of_kr(g: Graph, r: int, decomp: BlockDecomposition) -> bool:
+    """True iff every block of g's decomposition is a clique on exactly r vertices (isolated vertices allowed)."""
     for mask in block_vertex_sets(decomp):
         if mask.bit_count() != r or not is_clique(g, mask):
             return False

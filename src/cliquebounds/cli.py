@@ -25,31 +25,13 @@ from .bounds import (
     KIND_LOCAL_VERTEX_TOTAL,
     KIND_WOOD,
     KIND_WOOD_TOTAL,
-    BoundReport,
-    cc_cycle_bound,
-    cc_path_bound,
-    compare_local_vs_classical,
     format_fraction,
-    local_edge_cycle_bound,
-    local_edge_path_bound,
-    local_vertex_bound,
     local_vertex_total_bound,
     make_report,
-    wood_bound,
     wood_total_bound,
 )
-from .certificates import (
-    EqualityCertificate,
-    cross_validate,
-    cycle_equality_certificate,
-    edge_equality_certificate,
-    is_block_forest_of_kr,
-    is_clique_union_with_isolated,
-    is_disjoint_clique_union,
-    vertex_equality_certificate,
-)
-from .cliques import clique_census, count_all_cliques, count_cliques
-from .enumeration import ENUMERATION_CAP, enumerate_graphs
+from .cliques import count_all_cliques, count_cliques
+from .enumeration import enumerate_graphs
 from .graph import Graph, GraphError, parse_edge_list_text, parse_graph6, write_graph6
 from .oracles import (
     DP_WEIGHT_CAP,
@@ -62,15 +44,16 @@ from .oracles import (
 from .search import (
     CATEGORY_BOUND_VIOLATION,
     GraphSource,
+    OrderEvaluation,
     SearchConfig,
-    classical_cycle_r,
-    classical_path_r,
+    evaluate_graph,
     findings_to_jsonl,
+    order_range,
     rows_to_csv,
     run_sweep,
     summary_to_json,
 )
-from .weights import DEFAULT_EXACT_CAP, CapExceededError, all_weights, block_decomposition, is_block_forest
+from .weights import DEFAULT_EXACT_CAP, CapExceededError, is_block_forest
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -107,11 +90,10 @@ def load_single_graph(spec: str, edge_list: bool) -> Graph:
     raise GraphError("no graph found in input")
 
 
-def parse_t_range(raw: str | None, g: Graph) -> list[int]:
-    """Parse 'MIN:MAX' or a single order; default is 2..(max degree + 1)."""
+def parse_t_range(raw: str | None) -> tuple[int, int | None]:
+    """Parse 'MIN:MAX' or a single order; the default is 2 up to each graph's max degree + 1 (None)."""
     if raw is None:
-        hi = max(g.max_degree() + 1, 2)
-        return list(range(2, hi + 1))
+        return 2, None
     if ":" in raw:
         lo_s, hi_s = raw.split(":", 1)
         lo, hi = int(lo_s), int(hi_s)
@@ -119,77 +101,27 @@ def parse_t_range(raw: str | None, g: Graph) -> list[int]:
         lo = hi = int(raw)
     if lo < 1 or hi < lo:
         raise ValueError(f"invalid t range {raw!r}")
-    return list(range(lo, hi + 1))
+    return lo, hi
 
 
 def _edge_key(e: tuple[int, int]) -> str:
     return f"{e[0]}-{e[1]}"
 
 
-def reports_for_t(g: Graph, weights, census, t: int) -> list[BoundReport]:
-    """BoundReports for every per-order kind defined at this t."""
-    count = census[t].total if 1 <= t <= g.n else 0
-    d = g.max_degree()
-    reports = [
-        make_report(
-            KIND_LOCAL_VERTEX, t, count, local_vertex_bound(g, t), vertex_equality_certificate(g, t)
-        ),
-        make_report(
-            KIND_WOOD,
-            t,
-            count,
-            wood_bound(g.n, d, t),
-            EqualityCertificate(
-                "wood", is_disjoint_clique_union(g, d + 1), None, write_graph6(g),
-                f"disjoint union of cliques on {d + 1} vertices",
-            ),
-        ),
-    ]
-    if t >= 2:
-        pr = classical_path_r(weights, g.m)
-        cr = classical_cycle_r(weights)
-        reports.extend(
-            [
-                make_report(
-                    KIND_LOCAL_EDGE_PATH, t, count, local_edge_path_bound(g, weights, t),
-                    edge_equality_certificate(g, weights, t),
-                ),
-                make_report(
-                    KIND_LOCAL_EDGE_CYCLE, t, count, local_edge_cycle_bound(g, weights, t),
-                    cycle_equality_certificate(g, weights, t),
-                ),
-                make_report(
-                    KIND_CC_PATH, t, count, cc_path_bound(g.m, pr, t),
-                    EqualityCertificate(
-                        "cc_path", is_clique_union_with_isolated(g, pr), None, write_graph6(g),
-                        f"disjoint union of cliques on {pr} vertices plus isolated vertices",
-                    ),
-                ),
-                make_report(
-                    KIND_CC_CYCLE, t, count, cc_cycle_bound(g.m, cr, t),
-                    EqualityCertificate(
-                        "cc_cycle", is_block_forest_of_kr(g, cr), None, write_graph6(g),
-                        f"block forest with every block a clique on {cr} vertices",
-                    ),
-                ),
-            ]
-        )
-    return reports
+# The per-order kinds of an analyze report, in report order.
+ANALYZE_KINDS = (KIND_LOCAL_VERTEX, KIND_WOOD, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_CC_PATH, KIND_CC_CYCLE)
+
+
+def reports_for_t(order: OrderEvaluation) -> list[dict]:
+    """The JSON reports of every kind evaluated at one order."""
+    return [r.to_json_dict() for r in order.reports.values()]
 
 
 def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXACT_CAP) -> dict:
-    weights = all_weights(g, weight_cap)
-    census = clique_census(g)
-    decomp = block_decomposition(g)
-    reports = []
-    validations = []
-    dominance = []
-    for t in ts:
-        reports.extend(r.to_json_dict() for r in reports_for_t(g, weights, census, t))
-        validations.append(cross_validate(g, t, weights).to_json_dict())
-        if t >= 2:
-            dominance.append(compare_local_vs_classical(g, weights, t).to_json_dict())
-    all_count = count_all_cliques(g)
+    evaluation = evaluate_graph(g, ts, ANALYZE_KINDS, weight_cap)
+    weights = evaluation.weights
+    decomp = weights.blocks
+    all_count = sum(evaluation.census.values())
     totals = [
         make_report(KIND_LOCAL_VERTEX_TOTAL, None, all_count, local_vertex_total_bound(g)),
         make_report(KIND_WOOD_TOTAL, None, all_count, wood_total_bound(g.n, g.max_degree())),
@@ -210,12 +142,12 @@ def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXAC
             "articulation_points": sorted(
                 v for v in range(g.n) if (decomp.articulation_points >> v) & 1
             ),
-            "is_block_forest": is_block_forest(g),
+            "is_block_forest": is_block_forest(g, decomp),
         },
         "t_values": ts,
-        "reports": reports,
-        "cross_validation": validations,
-        "dominance": dominance,
+        "reports": [r for order in evaluation.orders for r in reports_for_t(order)],
+        "cross_validation": [order.cross.to_json_dict() for order in evaluation.orders],
+        "dominance": [order.dominance.to_json_dict() for order in evaluation.orders if order.dominance is not None],
         "totals": [r.to_json_dict() for r in totals],
     }
 
@@ -275,7 +207,7 @@ def _write_outputs(args, result) -> None:
     if args.summary:
         with open(args.summary, "w", encoding="ascii") as fh:
             fh.write(summary_to_json(result.summary))
-    if getattr(args, "csv", None):
+    if args.csv:
         with open(args.csv, "w", encoding="ascii") as fh:
             fh.write(rows_to_csv(result.rows))
 
@@ -311,8 +243,8 @@ def _print_sweep_human(result) -> None:
 
 def cmd_analyze(args) -> int:
     g = load_single_graph(args.graph, args.edge_list)
-    ts = parse_t_range(args.t, g)
-    report = build_analyze_report(g, ts, args.weight_cap)
+    t_min, t_max = parse_t_range(args.t)
+    report = build_analyze_report(g, list(order_range(g, t_min, t_max)), args.weight_cap)
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:
@@ -320,19 +252,18 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    source = GraphSource(kind="graph6_file", path=args.input) if args.input != "-" else GraphSource(
-        kind="graph6_lines", lines=tuple(sys.stdin.read().splitlines())
-    )
-    lo, hi = _t_bounds(args.t)
+def _sweep(args, source: GraphSource, **options) -> int:
+    """Run a verify/search sweep, write and print its outputs; returns the exit code."""
+    t_min, t_max = parse_t_range(args.t)
     config = SearchConfig(
-        t_min=lo,
-        t_max=hi,
+        t_min=t_min,
+        t_max=t_max,
         kinds=_parse_kinds(args.kinds),
         parallelism=args.parallelism,
         equality_cap=args.equality_cap,
         weight_cap=args.weight_cap,
         collect_rows=bool(args.csv),
+        **options,
     )
     result = run_sweep(source, config)
     _write_outputs(args, result)
@@ -349,6 +280,13 @@ def cmd_verify(args) -> int:
     else:
         _print_sweep_human(result)
     return _sweep_exit_code(args, result)
+
+
+def cmd_verify(args) -> int:
+    source = GraphSource(kind="graph6_file", path=args.input) if args.input != "-" else GraphSource(
+        kind="graph6_lines", lines=tuple(sys.stdin.read().splitlines())
+    )
+    return _sweep(args, source)
 
 
 def cmd_search(args) -> int:
@@ -373,54 +311,10 @@ def cmd_search(args) -> int:
         source = GraphSource(
             kind="exhaustive", ns=ns, connected_only=args.connected_only, max_edges=args.max_edges
         )
-    lo, hi = _t_bounds(args.t)
-    config = SearchConfig(
-        t_min=lo,
-        t_max=hi,
-        kinds=_parse_kinds(args.kinds),
-        parallelism=args.parallelism,
-        equality_cap=args.equality_cap,
-        stop_on_first=args.stop_on_first,
-        weight_cap=args.weight_cap,
-        emit_min_slack=args.min_slack,
-        collect_rows=bool(args.csv),
-    )
-    result = run_sweep(source, config)
-    _write_outputs(args, result)
-    if args.format == "jsonl":
-        sys.stdout.write(findings_to_jsonl(result.findings))
-    elif args.format == "json":
-        print(
-            json.dumps(
-                {"findings": [f.to_json_dict() for f in result.findings], "summary": result.summary},
-                sort_keys=True,
-                indent=2,
-            )
-        )
-    else:
-        _print_sweep_human(result)
-    return _sweep_exit_code(args, result)
-
-
-def _t_bounds(raw: str | None) -> tuple[int, int | None]:
-    if raw is None:
-        return 2, None
-    if ":" in raw:
-        lo_s, hi_s = raw.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(raw)
-    if lo < 1 or hi < lo:
-        raise ValueError(f"invalid t range {raw!r}")
-    return lo, hi
+    return _sweep(args, source, stop_on_first=args.stop_on_first, emit_min_slack=args.min_slack)
 
 
 def cmd_enumerate(args) -> int:
-    if args.n > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"built-in enumeration supports n <= {ENUMERATION_CAP}; "
-            "pipe graph6 from an external enumerator for larger n"
-        )
     for g in enumerate_graphs(args.n):
         print(write_graph6(g))
     return EXIT_OK

@@ -59,62 +59,25 @@ def count_cliques(g: Graph, t: int) -> CliqueCounts:
     return CliqueCounts(t, total, tuple(per_vertex), per_edge)
 
 
-def clique_census(g: Graph) -> dict[int, CliqueCounts]:
-    """CliqueCounts for every order t = 1..n in a single clique-tree pass."""
-    n = g.n
-    totals = [0] * (n + 1)
-    per_vertex = [[0] * n for _ in range(n + 1)]
-    edge_list = g.edges()
-    per_edge = {e: [0] * (n + 1) for e in edge_list}
+def clique_census(g: Graph) -> dict[int, int]:
+    """The K_t count for every order t = 1..n, from a single clique-tree pass."""
+    totals = [0] * (g.n + 1)
     adj = g.adj
-    members: list[int] = []
 
-    def grow(cand: int) -> None:
-        s = len(members)
-        if s:
-            totals[s] += 1
-            pv = per_vertex[s]
-            for v in members:
-                pv[v] += 1
-            for i, u in enumerate(members):
-                for w in members[i + 1 :]:
-                    per_edge[(u, w)][s] += 1
+    def grow(cand: int, size: int) -> None:
+        totals[size] += 1
         while cand:
             low = cand & -cand
-            v = low.bit_length() - 1
             cand ^= low
-            members.append(v)
-            grow(cand & adj[v])
-            members.pop()
+            grow(cand & adj[low.bit_length() - 1], size + 1)
 
-    grow(g.vertex_mask())
-    out = {}
-    for t in range(1, n + 1):
-        out[t] = CliqueCounts(
-            t,
-            totals[t],
-            tuple(per_vertex[t]),
-            {e: hist[t] for e, hist in per_edge.items()},
-        )
-    return out
+    grow(g.vertex_mask(), 0)
+    return {t: totals[t] for t in range(1, g.n + 1)}
 
 
 def count_all_cliques(g: Graph) -> int:
     """Number of non-empty cliques of any order (sum of K_t counts over t >= 1)."""
-    adj = g.adj
-    total = 0
-
-    def grow(cand: int) -> None:
-        nonlocal total
-        while cand:
-            low = cand & -cand
-            v = low.bit_length() - 1
-            cand ^= low
-            total += 1
-            grow(cand & adj[v])
-
-    grow(g.vertex_mask())
-    return total
+    return sum(clique_census(g).values())
 
 
 def cliques_through_vertex(g: Graph, x: int, t: int) -> int:

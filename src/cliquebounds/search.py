@@ -1,9 +1,17 @@
-"""Sweep harness: stream graphs, evaluate bounds and certificates, emit findings.
+"""Per-graph evaluation and the sweep harness: stream graphs, emit findings.
+
+``evaluate_graph`` is the one place where a graph's counts, bounds,
+certificates and verdicts are derived: per requested order t it takes the
+K_t count from one clique census, builds each kind's bound and certificate
+through ``evaluate_kind``, then the cross-validation, the cycle-conjecture
+verdict and the dominance record from those. ``analyze`` renders that
+result, ``sweep_worker`` serialises it, and ``replay_finding`` re-evaluates
+a witness through it.
 
 Workers see one graph at a time (as its graph6 line, which doubles as the
-witness string) and return plain dicts; the consumer assembles findings in
-stream order, so the output is identical for any parallelism width. Every
-finding can be replayed from its witness alone.
+witness string) and return plain dicts; the consumer turns each into
+findings in stream order, so the output is identical for any parallelism
+width. Every finding can be replayed from its witness alone.
 """
 
 from __future__ import annotations
@@ -12,10 +20,10 @@ import csv
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bounds import (
     DEFAULT_SWEEP_KINDS,
@@ -25,17 +33,21 @@ from .bounds import (
     KIND_LOCAL_EDGE_PATH,
     KIND_LOCAL_VERTEX,
     KIND_WOOD,
+    BoundReport,
+    DominanceRecord,
     cc_cycle_bound,
     cc_path_bound,
     compare_local_vs_classical,
-    equals_count,
     local_edge_cycle_bound,
     local_edge_path_bound,
     local_vertex_bound,
+    make_report,
     wood_bound,
 )
 from .certificates import (
     VERDICT_DISCREPANCY,
+    CrossValidation,
+    EqualityCertificate,
     conjecture_verdict,
     cross_validate,
     cycle_equality_certificate,
@@ -56,11 +68,10 @@ CATEGORY_CHAR_DISCREPANCY = "CHAR_DISCREPANCY"
 CATEGORY_EQUALITY_INSTANCE = "EQUALITY_INSTANCE"
 CATEGORY_MIN_SLACK = "MIN_SLACK"
 
-VIOLATION_CATEGORIES = (CATEGORY_BOUND_VIOLATION, CATEGORY_CONJECTURE_VIOLATION)
-
 # pseudo-kinds for dominance violations (always checked, never requested)
 KIND_DOMINANCE_VERTEX = "dominance_vertex"
 KIND_DOMINANCE_EDGE = "dominance_edge"
+DOMINANCE_KINDS = (KIND_DOMINANCE_VERTEX, KIND_DOMINANCE_EDGE)
 
 
 @dataclass(frozen=True)
@@ -182,125 +193,159 @@ def classical_cycle_r(weights: WeightMap) -> int:
     return max(weights.circumference, 2)
 
 
-def evaluate_kind(g: Graph, weights: WeightMap, count: int, t: int, kind: str):
-    """(bound, certificate_holds) for one per-order bound kind, or None if t is
-    outside the kind's domain."""
-    if kind == KIND_LOCAL_VERTEX:
-        if t < 1:
-            return None
-        return local_vertex_bound(g, t), vertex_equality_certificate(g, t).holds
-    if kind == KIND_WOOD:
-        if t < 1:
-            return None
-        d = g.max_degree()
-        return wood_bound(g.n, d, t), is_disjoint_clique_union(g, d + 1)
-    if t < 2:
-        return None
-    if kind == KIND_LOCAL_EDGE_PATH:
-        return local_edge_path_bound(g, weights, t), edge_equality_certificate(g, weights, t).holds
-    if kind == KIND_LOCAL_EDGE_CYCLE:
-        return local_edge_cycle_bound(g, weights, t), cycle_equality_certificate(g, weights, t).holds
-    if kind == KIND_CC_PATH:
+def order_range(g: Graph, t_min: int, t_max: int | None) -> range:
+    """The orders t_min..t_max; without t_max, up to g's max degree + 1."""
+    return range(t_min, (t_max if t_max is not None else max(g.max_degree() + 1, t_min)) + 1)
+
+
+def classical_certificates(g: Graph, weights: WeightMap, kinds: tuple[str, ...]) -> dict[str, EqualityCertificate]:
+    """The certificates of the requested classical kinds; none depends on t."""
+    out = {}
+    if KIND_WOOD in kinds:
+        size = g.max_degree() + 1
+        out[KIND_WOOD] = EqualityCertificate(
+            "wood", is_disjoint_clique_union(g, size), None, g, f"disjoint union of cliques on {size} vertices"
+        )
+    if KIND_CC_PATH in kinds:
         r = classical_path_r(weights, g.m)
-        return cc_path_bound(g.m, r, t), is_clique_union_with_isolated(g, r)
-    if kind == KIND_CC_CYCLE:
+        out[KIND_CC_PATH] = EqualityCertificate(
+            "cc_path", is_clique_union_with_isolated(g, r), None, g,
+            f"disjoint union of cliques on {r} vertices plus isolated vertices",
+        )
+    if KIND_CC_CYCLE in kinds:
         r = classical_cycle_r(weights)
-        return cc_cycle_bound(g.m, r, t), is_block_forest_of_kr(g, r)
-    raise ValueError(f"unknown per-order bound kind {kind!r}")
+        out[KIND_CC_CYCLE] = EqualityCertificate(
+            "cc_cycle", is_block_forest_of_kr(g, r, weights.blocks), None, g,
+            f"block forest with every block a clique on {r} vertices",
+        )
+    return out
+
+
+def evaluate_kind(
+    g: Graph, weights: WeightMap, count: int, t: int, kind: str, classical: dict[str, EqualityCertificate]
+) -> BoundReport | None:
+    """One per-order kind's bound and certificate against the count, or None
+    if t is outside the kind's domain. ``classical`` holds the t-free
+    certificates from ``classical_certificates``."""
+    if t < 2 and kind not in (KIND_LOCAL_VERTEX, KIND_WOOD):
+        return None
+    if kind == KIND_LOCAL_VERTEX:
+        bound, cert = local_vertex_bound(g, t), vertex_equality_certificate(g, t)
+    elif kind == KIND_WOOD:
+        bound, cert = wood_bound(g.n, g.max_degree(), t), classical[kind]
+    elif kind == KIND_LOCAL_EDGE_PATH:
+        bound, cert = local_edge_path_bound(g, weights, t), edge_equality_certificate(g, weights, t)
+    elif kind == KIND_LOCAL_EDGE_CYCLE:
+        bound, cert = local_edge_cycle_bound(g, weights, t), cycle_equality_certificate(g, weights, t)
+    elif kind == KIND_CC_PATH:
+        bound, cert = cc_path_bound(g.m, classical_path_r(weights, g.m), t), classical[kind]
+    elif kind == KIND_CC_CYCLE:
+        bound, cert = cc_cycle_bound(g.m, classical_cycle_r(weights), t), classical[kind]
+    else:
+        raise ValueError(f"unknown per-order bound kind {kind!r}")
+    return make_report(kind, t, count, bound, cert)
+
+
+@dataclass
+class OrderEvaluation:
+    """Everything derived for one graph at one clique order t."""
+
+    t: int
+    count: int
+    reports: dict[str, BoundReport]  # the evaluated kinds defined at t, in request order
+    cross: CrossValidation | None  # when local_vertex was evaluated
+    cycle_verdict: str | None  # when local_edge_cycle_conjecture was evaluated
+    dominance: DominanceRecord | None  # for t >= 2
+
+
+@dataclass
+class GraphEvaluation:
+    weights: WeightMap
+    census: dict[int, int]  # K_t count per order t = 1..n
+    orders: list[OrderEvaluation]
+
+
+def evaluate_graph(
+    g: Graph, ts: Iterable[int], kinds: tuple[str, ...], weight_cap: int = DEFAULT_EXACT_CAP
+) -> GraphEvaluation:
+    """Evaluate the given kinds at every order in ``ts``, each item exactly once.
+
+    The edge-path pair is cross-validated together with the vertex pair, so
+    it is checked only where local_vertex is among ``kinds``.
+    """
+    weights = all_weights(g, weight_cap)
+    census = clique_census(g)
+    classical = classical_certificates(g, weights, kinds)
+    orders = []
+    for t in ts:
+        if t < 1:
+            raise ValueError(f"clique order must be >= 1, got {t}")
+        count = census.get(t, 0)
+        reports = {}
+        for kind in kinds:
+            report = evaluate_kind(g, weights, count, t, kind, classical)
+            if report is not None:
+                reports[kind] = report
+        vertex = reports.get(KIND_LOCAL_VERTEX)
+        cycle = reports.get(KIND_LOCAL_EDGE_CYCLE)
+        orders.append(
+            OrderEvaluation(
+                t,
+                count,
+                reports,
+                cross_validate(g, vertex, reports.get(KIND_LOCAL_EDGE_PATH)) if vertex is not None else None,
+                conjecture_verdict(cycle) if cycle is not None else None,
+                compare_local_vs_classical(g, weights, t) if t >= 2 else None,
+            )
+        )
+    return GraphEvaluation(weights, census, orders)
+
+
+def _item(t: int, kind: str, count: int, bound: Fraction, slack: Fraction, certificate: bool | None, **extra) -> dict:
+    return {"t": t, "kind": kind, "count": count, "bound_num": bound.numerator, "bound_den": bound.denominator,
+            "slack_num": slack.numerator, "slack_den": slack.denominator, "certificate": certificate, **extra}
 
 
 def sweep_worker(line: str, config: SearchConfig) -> dict:
     """Analyze one graph6 line; returns a JSON-able record."""
     g = parse_graph6(line)
     record: dict = {"graph6": line, "n": g.n, "m": g.m, "error": None, "evals": [], "verdicts": [], "dominance_violations": []}
+    kinds = config.kinds
+    if KIND_LOCAL_EDGE_PATH in kinds and KIND_LOCAL_VERTEX not in kinds:
+        kinds += (KIND_LOCAL_VERTEX,)  # the edge pair is cross-validated with the vertex pair
     try:
-        weights = all_weights(g, config.weight_cap)
+        evaluation = evaluate_graph(g, order_range(g, config.t_min, config.t_max), kinds, config.weight_cap)
     except CapExceededError as exc:
         record["error"] = str(exc)
         return record
-    census = clique_census(g)
-    t_hi = config.t_max if config.t_max is not None else max(g.max_degree() + 1, config.t_min)
-    for t in range(config.t_min, t_hi + 1):
-        count = census[t].total if 1 <= t <= g.n else 0
+    verdicts, violations = record["verdicts"], record["dominance_violations"]
+    for order in evaluation.orders:
+        t, count, reports, cv = order.t, order.count, order.reports, order.cross
         for kind in config.kinds:
-            res = evaluate_kind(g, weights, count, t, kind)
-            if res is None:
-                continue
-            bound, cert = res
-            slack = bound - count
-            record["evals"].append(
-                {
-                    "t": t,
-                    "kind": kind,
-                    "count": count,
-                    "bound_num": bound.numerator,
-                    "bound_den": bound.denominator,
-                    "slack_num": slack.numerator,
-                    "slack_den": slack.denominator,
-                    "equality": equals_count(count, bound),
-                    "certificate": cert,
-                }
-            )
-        if KIND_LOCAL_VERTEX in config.kinds or KIND_LOCAL_EDGE_PATH in config.kinds:
-            cv = cross_validate(g, t, weights)
-            if KIND_LOCAL_VERTEX in config.kinds and cv.vertex_verdict == VERDICT_DISCREPANCY:
-                core = parse_graph6(cv.vertex_core_graph6)
-                core_count = clique_census(core)[t].total if 1 <= t <= core.n else 0
-                core_bound = local_vertex_bound(core, t)
-                record["verdicts"].append(
-                    {
-                        "t": t,
-                        "kind": KIND_LOCAL_VERTEX,
-                        "count": core_count,
-                        "bound_num": core_bound.numerator,
-                        "bound_den": core_bound.denominator,
-                        "certificate": cv.vertex_core_certificate,
-                        "detail": f"core equality {cv.vertex_core_equality} vs core certificate {cv.vertex_core_certificate} (core {cv.vertex_core_graph6})",
-                    }
-                )
-            if KIND_LOCAL_EDGE_PATH in config.kinds and cv.edge_verdict == VERDICT_DISCREPANCY:
-                bound = local_edge_path_bound(g, weights, t)
-                record["verdicts"].append(
-                    {
-                        "t": t,
-                        "kind": KIND_LOCAL_EDGE_PATH,
-                        "count": count,
-                        "bound_num": bound.numerator,
-                        "bound_den": bound.denominator,
-                        "certificate": cv.edge_certificate,
-                        "detail": f"equality {cv.edge_equality} vs certificate {cv.edge_certificate}",
-                    }
-                )
-        if KIND_LOCAL_EDGE_CYCLE in config.kinds and t >= 2:
-            verdict, equality, cert = conjecture_verdict(g, weights, t, count)
-            if verdict == VERDICT_DISCREPANCY:
-                bound = local_edge_cycle_bound(g, weights, t)
-                record["verdicts"].append(
-                    {
-                        "t": t,
-                        "kind": KIND_LOCAL_EDGE_CYCLE,
-                        "count": count,
-                        "bound_num": bound.numerator,
-                        "bound_den": bound.denominator,
-                        "certificate": cert,
-                        "detail": f"equality {equality} vs block-forest certificate {cert}",
-                    }
-                )
-        if t >= 2:
-            dom = compare_local_vs_classical(g, weights, t)
-            if not dom.vertex_ok:
-                record["dominance_violations"].append(
-                    {"t": t, "kind": KIND_DOMINANCE_VERTEX, "local_num": dom.local_vertex.numerator,
-                     "local_den": dom.local_vertex.denominator, "classical_num": dom.wood.numerator,
-                     "classical_den": dom.wood.denominator}
-                )
-            if not dom.edge_ok:
-                assert dom.local_edge is not None and dom.cc_path is not None
-                record["dominance_violations"].append(
-                    {"t": t, "kind": KIND_DOMINANCE_EDGE, "local_num": dom.local_edge.numerator,
-                     "local_den": dom.local_edge.denominator, "classical_num": dom.cc_path.numerator,
-                     "classical_den": dom.cc_path.denominator}
-                )
+            r = reports.get(kind)
+            if r is not None:
+                record["evals"].append(_item(t, kind, count, r.bound, r.slack, r.certificate.holds, equality=r.equality))
+        if cv is not None and KIND_LOCAL_VERTEX in config.kinds and cv.vertex_verdict == VERDICT_DISCREPANCY:
+            bound, cert = cv.vertex_core_bound, cv.vertex_core_certificate
+            detail = f"core equality {cv.vertex_core_equality} vs core certificate {cert} (core {write_graph6(cv.vertex_core)})"
+            verdicts.append(_item(t, KIND_LOCAL_VERTEX, count, bound, bound - count, cert, detail=detail))
+        if cv is not None and KIND_LOCAL_EDGE_PATH in config.kinds and cv.edge_verdict == VERDICT_DISCREPANCY:
+            r = reports[KIND_LOCAL_EDGE_PATH]
+            detail = f"equality {cv.edge_equality} vs certificate {cv.edge_certificate}"
+            verdicts.append(_item(t, r.kind, count, r.bound, r.slack, cv.edge_certificate, detail=detail))
+        if order.cycle_verdict == VERDICT_DISCREPANCY:
+            r = reports[KIND_LOCAL_EDGE_CYCLE]
+            detail = f"equality {r.equality} vs block-forest certificate {r.certificate.holds}"
+            verdicts.append(_item(t, r.kind, count, r.bound, r.slack, r.certificate.holds, detail=detail))
+        dom = order.dominance
+        pairs = []
+        if dom is not None and not dom.vertex_ok:
+            pairs.append((KIND_DOMINANCE_VERTEX, dom.local_vertex, dom.wood))
+        if dom is not None and not dom.edge_ok:
+            pairs.append((KIND_DOMINANCE_EDGE, dom.local_edge, dom.cc_path))
+        for kind, local, classical in pairs:
+            detail = f"localized bound {local} exceeds classical bound {classical}"
+            violations.append(_item(t, kind, 0, classical, classical - local, None, detail=detail))
     return record
 
 
@@ -315,6 +360,35 @@ def _category_for_violation(kind: str) -> str:
     if kind == KIND_LOCAL_EDGE_CYCLE:
         return CATEGORY_CONJECTURE_VIOLATION
     return CATEGORY_BOUND_VIOLATION
+
+
+_ITEM_FIELDS = ("t", "kind", "count", "bound_num", "bound_den", "slack_num", "slack_den", "certificate")
+_ROW_FIELDS = ("t", "kind", "count", "bound_num", "bound_den", "equality", "certificate")
+
+
+def record_findings(record: dict) -> list[Finding]:
+    """Every finding a worker record supports, in stream order, before any cap.
+
+    An evaluation yields a violation, an EQUALITY_INSTANCE or a MIN_SLACK
+    candidate by the sign of its slack; a verdict yields a CHAR_DISCREPANCY
+    and a dominance violation a BOUND_VIOLATION.
+    """
+
+    def finding(category: str, item: dict, detail: str) -> Finding:
+        return Finding(category, record["graph6"], record["n"], record["m"], *(item[k] for k in _ITEM_FIELDS), detail)
+
+    out = []
+    for ev in record["evals"]:
+        slack = Fraction(ev["slack_num"], ev["slack_den"])
+        if slack < 0:
+            out.append(finding(_category_for_violation(ev["kind"]), ev, f"count exceeds bound by {-slack}"))
+        elif ev["equality"]:
+            out.append(finding(CATEGORY_EQUALITY_INSTANCE, ev, "bound attained exactly"))
+        else:
+            out.append(finding(CATEGORY_MIN_SLACK, ev, "smallest positive slack for this (n,t,kind)"))
+    out.extend(finding(CATEGORY_CHAR_DISCREPANCY, vd, vd["detail"]) for vd in record["verdicts"])
+    out.extend(finding(CATEGORY_BOUND_VIOLATION, dv, dv["detail"]) for dv in record["dominance_violations"])
+    return out
 
 
 def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
@@ -341,76 +415,38 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
         if record["error"] is not None:
             cap_errors.append(f"{line}: {record['error']}")
             return False
+        if config.collect_rows:
+            rows.extend({"graph6": line, "n": n, "m": m, **{k: ev[k] for k in _ROW_FIELDS}} for ev in record["evals"])
         stop = False
-        for ev in record["evals"]:
-            t, kind = ev["t"], ev["kind"]
-            key = (n, t)
-            st = stats_nt.setdefault(key, {})
-            ks = st.setdefault(kind, {"evaluations": 0, "equalities": 0, "violations": 0, "discrepancies": 0})
-            ks["evaluations"] += 1
-            if config.collect_rows:
-                rows.append(
-                    {
-                        "graph6": line, "n": n, "m": m, "t": t, "kind": kind,
-                        "count": ev["count"], "bound_num": ev["bound_num"], "bound_den": ev["bound_den"],
-                        "equality": ev["equality"], "certificate": ev["certificate"],
-                    }
-                )
-            base = Finding(
-                category="", graph6=line, n=n, m=m, t=t, kind=kind,
-                count=ev["count"], bound_num=ev["bound_num"], bound_den=ev["bound_den"],
-                slack_num=ev["slack_num"], slack_den=ev["slack_den"],
-                certificate=ev["certificate"], detail="",
+        for f in record_findings(record):
+            if f.kind in DOMINANCE_KINDS:
+                findings.append(f)
+                stop = stop or config.stop_on_first
+                continue
+            key = (n, f.t)
+            ks = stats_nt.setdefault(key, {}).setdefault(
+                f.kind, {"evaluations": 0, "equalities": 0, "violations": 0, "discrepancies": 0}
             )
-            slack = Fraction(ev["slack_num"], ev["slack_den"])
-            if slack < 0:
-                ks["violations"] += 1
-                findings.append(replace(base, category=_category_for_violation(kind),
-                                         detail=f"count exceeds bound by {-slack}"))
-                if config.stop_on_first:
-                    stop = True
-            elif ev["equality"]:
+            if f.category == CATEGORY_CHAR_DISCREPANCY:
+                ks["discrepancies"] += 1
+                findings.append(f)
+                continue
+            ks["evaluations"] += 1
+            if f.category == CATEGORY_EQUALITY_INSTANCE:
                 ks["equalities"] += 1
                 seen = equality_seen.get(key, 0)
                 if seen < config.equality_cap:
                     equality_seen[key] = seen + 1
-                    findings.append(replace(base, category=CATEGORY_EQUALITY_INSTANCE,
-                                            detail="bound attained exactly"))
-            else:
-                cur = min_slack.get((n, t, kind))
+                    findings.append(f)
+            elif f.category == CATEGORY_MIN_SLACK:
+                slack = Fraction(f.slack_num, f.slack_den)
+                cur = min_slack.get((n, f.t, f.kind))
                 if cur is None or slack < cur[0]:
-                    min_slack[(n, t, kind)] = (slack, replace(base, category=CATEGORY_MIN_SLACK,
-                                                              detail="smallest positive slack for this (n,t,kind)"))
-        for vd in record["verdicts"]:
-            t, kind = vd["t"], vd["kind"]
-            st = stats_nt.setdefault((n, t), {})
-            ks = st.setdefault(kind, {"evaluations": 0, "equalities": 0, "violations": 0, "discrepancies": 0})
-            ks["discrepancies"] += 1
-            count = vd["count"]
-            bound = Fraction(vd["bound_num"], vd["bound_den"])
-            slack = bound - count
-            findings.append(
-                Finding(
-                    category=CATEGORY_CHAR_DISCREPANCY, graph6=line, n=n, m=m, t=t, kind=kind,
-                    count=count, bound_num=bound.numerator, bound_den=bound.denominator,
-                    slack_num=slack.numerator, slack_den=slack.denominator,
-                    certificate=vd["certificate"], detail=vd["detail"],
-                )
-            )
-        for dv in record["dominance_violations"]:
-            local = Fraction(dv["local_num"], dv["local_den"])
-            classical = Fraction(dv["classical_num"], dv["classical_den"])
-            gap = classical - local
-            findings.append(
-                Finding(
-                    category=CATEGORY_BOUND_VIOLATION, graph6=line, n=n, m=m, t=dv["t"], kind=dv["kind"],
-                    count=0, bound_num=classical.numerator, bound_den=classical.denominator,
-                    slack_num=gap.numerator, slack_den=gap.denominator, certificate=None,
-                    detail=f"localized bound {local} exceeds classical bound {classical}",
-                )
-            )
-            if config.stop_on_first:
-                stop = True
+                    min_slack[(n, f.t, f.kind)] = (slack, f)
+            else:
+                ks["violations"] += 1
+                findings.append(f)
+                stop = stop or config.stop_on_first
         return stop
 
     lines = source.graphs()
@@ -452,66 +488,15 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
 
 
 def replay_finding(finding: Finding, weight_cap: int = DEFAULT_EXACT_CAP) -> bool:
-    """Re-analyze a finding's witness in isolation and confirm it reproduces
-    the category and the exact rationals."""
+    """Re-evaluate a finding's witness at its order, as the sweep does, and
+    confirm that the record yields this finding field for field."""
+    kinds = () if finding.kind in DOMINANCE_KINDS else (finding.kind,)
+    config = SearchConfig(t_min=finding.t, t_max=finding.t, kinds=kinds, weight_cap=weight_cap)
     try:
-        g = parse_graph6(finding.graph6)
-    except GraphError:
+        record = sweep_worker(finding.graph6, config)
+    except ValueError:  # a malformed witness, order or kind
         return False
-    if g.n != finding.n or g.m != finding.m:
-        return False
-    t = finding.t
-    weights = all_weights(g, weight_cap)
-    count = clique_census(g)[t].total if 1 <= t <= g.n else 0
-
-    if finding.kind in (KIND_DOMINANCE_VERTEX, KIND_DOMINANCE_EDGE):
-        dom = compare_local_vs_classical(g, weights, t)
-        ok = not dom.vertex_ok if finding.kind == KIND_DOMINANCE_VERTEX else not dom.edge_ok
-        return ok and finding.category == CATEGORY_BOUND_VIOLATION
-
-    if finding.category == CATEGORY_CHAR_DISCREPANCY:
-        if finding.kind == KIND_LOCAL_VERTEX:
-            cv = cross_validate(g, t, weights)
-            if cv.vertex_verdict != VERDICT_DISCREPANCY:
-                return False
-            core = parse_graph6(cv.vertex_core_graph6)
-            core_count = clique_census(core)[t].total if 1 <= t <= core.n else 0
-            core_bound = local_vertex_bound(core, t)
-            return (
-                core_count == finding.count
-                and core_bound.numerator == finding.bound_num
-                and core_bound.denominator == finding.bound_den
-            )
-        if finding.kind == KIND_LOCAL_EDGE_PATH:
-            cv = cross_validate(g, t, weights)
-            if cv.edge_verdict != VERDICT_DISCREPANCY:
-                return False
-            bound = local_edge_path_bound(g, weights, t)
-            return count == finding.count and bound == Fraction(finding.bound_num, finding.bound_den)
-        if finding.kind == KIND_LOCAL_EDGE_CYCLE:
-            verdict, _, _ = conjecture_verdict(g, weights, t, count)
-            if verdict != VERDICT_DISCREPANCY:
-                return False
-            bound = local_edge_cycle_bound(g, weights, t)
-            return count == finding.count and bound == Fraction(finding.bound_num, finding.bound_den)
-        return False
-
-    res = evaluate_kind(g, weights, count, t, finding.kind)
-    if res is None:
-        return False
-    bound, _cert = res
-    if count != finding.count or bound != Fraction(finding.bound_num, finding.bound_den):
-        return False
-    slack = bound - count
-    if slack != Fraction(finding.slack_num, finding.slack_den):
-        return False
-    if finding.category in VIOLATION_CATEGORIES:
-        return slack < 0 and _category_for_violation(finding.kind) == finding.category
-    if finding.category == CATEGORY_EQUALITY_INSTANCE:
-        return slack == 0
-    if finding.category == CATEGORY_MIN_SLACK:
-        return slack > 0
-    return False
+    return finding in record_findings(record)
 
 
 def findings_to_jsonl(findings: list[Finding]) -> str:

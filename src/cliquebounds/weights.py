@@ -40,13 +40,14 @@ class CapExceededError(GraphError):
 
 @dataclass
 class WeightMap:
-    """Degrees plus per-edge path/cycle weights and the global extremes."""
+    """Degrees plus per-edge path/cycle weights, the global extremes, and the blocks."""
 
     degrees: tuple[int, ...]
     p: dict[tuple[int, int], int]
     c: dict[tuple[int, int], int]
     longest_path: int
     circumference: int
+    blocks: BlockDecomposition
 
 
 @dataclass
@@ -182,7 +183,7 @@ def _raise_along(bounds: dict[tuple[int, int], int], seq: list[int], length: int
 
 
 def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
-    """p(e) and c(e) for every edge, with the global longest path and circumference."""
+    """p(e) and c(e) for every edge, the global longest path and circumference, and the blocks."""
     _check_cap(g, cap, "weight computation")
     adj = g.adj
     edges = g.edges()
@@ -217,7 +218,7 @@ def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
                 _raise_along(p, path, length)
     longest_path = max(p.values(), default=0)
     circumference = max((length for length in c.values() if length >= 3), default=0)
-    return WeightMap(g.degrees(), p, c, longest_path, circumference)
+    return WeightMap(g.degrees(), p, c, longest_path, circumference, decomp)
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -277,7 +278,6 @@ def block_vertex_sets(decomp: BlockDecomposition) -> list[int]:
     return out
 
 
-def is_block_forest(g: Graph) -> bool:
-    """True iff every block's vertex set induces a clique."""
-    decomp = block_decomposition(g)
+def is_block_forest(g: Graph, decomp: BlockDecomposition) -> bool:
+    """True iff every block of g's decomposition induces a clique."""
     return all(is_clique(g, mask) for mask in block_vertex_sets(decomp))

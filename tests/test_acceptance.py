@@ -85,7 +85,7 @@ def test_criterion_1_vertex_bound_soundness():
             census = clique_census(g)
             degree_sums = {t: sum(binom(d, t - 1) for d in g.degrees()) for t in range(1, n + 1)}
             for t in range(1, n + 1):
-                if t * census[t].total > degree_sums[t]:
+                if t * census[t] > degree_sums[t]:
                     violations += 1
     elapsed = time.monotonic() - start
     assert violations == 0
@@ -97,7 +97,7 @@ def test_criterion_2_edge_bound_soundness(analyzed):
     violations = 0
     for g, census, weights in analyzed:
         for t in range(2, g.n + 1):
-            lhs = binom(t, 2) * census[t].total
+            lhs = binom(t, 2) * census[t]
             rhs = sum(binom(p - 1, t - 2) for p in weights.p.values())
             if lhs > rhs:
                 violations += 1
@@ -133,7 +133,7 @@ def test_criterion_4_dominance_and_classical_characterizations(analyzed):
             rec = compare_local_vs_classical(g, weights, t)
             if not rec.ok:
                 dominance_failures += 1
-            count = census[t].total if t <= g.n else 0
+            count = census[t] if t <= g.n else 0
             # classical equality characterizations hold on the strict-inequality
             # range t >= 3 (at t = 2 every regular graph is tight for Wood)
             if 3 <= t <= d + 1:

@@ -135,7 +135,7 @@ class TestSoundness:
             w = all_weights(g)
             census = clique_census(g)
             for t in range(1, g.n + 1):
-                count = census[t].total
+                count = census[t]
                 assert count <= local_vertex_bound(g, t), (g, t)
                 if t >= 2:
                     assert count <= local_edge_path_bound(g, w, t), (g, t)

@@ -19,7 +19,7 @@ from cliquebounds import (
     x_set,
     z_set,
 )
-from cliquebounds.bounds import binom, local_edge_path_bound
+from cliquebounds.bounds import KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, binom, local_edge_path_bound
 from cliquebounds.certificates import (
     VERDICT_BOTH_FAIL,
     VERDICT_BOTH_HOLD,
@@ -30,7 +30,9 @@ from cliquebounds.certificates import (
     is_disjoint_clique_union,
     vertex_core_certificate,
 )
-from cliquebounds.graph import connected_components, is_clique, parse_graph6
+from cliquebounds.graph import connected_components, is_clique
+from cliquebounds.search import evaluate_kind
+from cliquebounds.weights import block_decomposition
 
 
 def K(n):
@@ -102,7 +104,7 @@ class TestVertexCertificate:
         # only the middle vertex survives one threshold pass; a K1 is a clique
         cert = vertex_equality_certificate(path(3), 3)
         assert cert.holds
-        assert parse_graph6(cert.reduced_graph6).n == 1
+        assert cert.reduced.n == 1
 
     def test_c5_fails_with_cycle_evidence(self):
         cert = vertex_equality_certificate(cycle(5), 3)
@@ -116,7 +118,7 @@ class TestVertexCertificate:
                 if cert.holds:
                     assert cert.evidence is None
                     continue
-                reduced = parse_graph6(cert.reduced_graph6)
+                reduced = cert.reduced
                 keep = x_set(g, t)
                 sub, mapping = induced_subgraph(g, keep)
                 assert sub == reduced
@@ -143,7 +145,7 @@ class TestEdgeCertificate:
         p4 = path(4)
         cert = edge_equality_certificate(p4, all_weights(p4), 5)
         assert cert.holds
-        assert parse_graph6(cert.reduced_graph6).m == 0
+        assert cert.reduced.m == 0
 
 
 class TestCycleCertificate:
@@ -203,21 +205,30 @@ class TestReductionLemmas:
                 assert equals_count(count_cliques(g, t).total, local_vertex_bound(g, t))
 
 
+def cross_validate_at(g, t):
+    """cross_validate on the vertex and edge-path reports, with an independent count."""
+    w = all_weights(g)
+    count = count_cliques(g, t).total
+    vertex = evaluate_kind(g, w, count, t, KIND_LOCAL_VERTEX, {})
+    edge = evaluate_kind(g, w, count, t, KIND_LOCAL_EDGE_PATH, {})
+    return cross_validate(g, vertex, edge)
+
+
 class TestCrossValidation:
     def test_k4_both_hold(self):
-        cv = cross_validate(K(4), 3)
+        cv = cross_validate_at(K(4), 3)
         assert cv.vertex_verdict == VERDICT_BOTH_HOLD
         assert cv.edge_verdict == VERDICT_BOTH_HOLD
 
     def test_p3_order_two_vertex_discrepancy(self):
-        cv = cross_validate(path(3), 2)
+        cv = cross_validate_at(path(3), 2)
         assert cv.vertex_equality is True
         assert cv.vertex_certificate is False
         assert cv.vertex_verdict == VERDICT_DISCREPANCY
         assert cv.edge_verdict == VERDICT_EXEMPT
 
     def test_c5_both_fail(self):
-        cv = cross_validate(cycle(5), 3)
+        cv = cross_validate_at(cycle(5), 3)
         assert cv.vertex_verdict == VERDICT_BOTH_FAIL
         assert cv.edge_verdict == VERDICT_BOTH_FAIL
 
@@ -225,7 +236,7 @@ class TestCrossValidation:
         # bound 1/3 > count 0 while the one-pass certificate holds; the core
         # comparison resolves the mismatch
         p3 = path(3)
-        cv = cross_validate(p3, 3)
+        cv = cross_validate_at(p3, 3)
         assert local_vertex_bound(p3, 3) == Fraction(1, 3)
         assert cv.vertex_equality is False
         assert cv.vertex_certificate is True
@@ -233,7 +244,7 @@ class TestCrossValidation:
         assert cv.vertex_verdict == VERDICT_BOTH_HOLD
 
     def test_vanishing_orders_are_both_hold(self):
-        cv = cross_validate(K(3), 5)
+        cv = cross_validate_at(K(3), 5)
         assert cv.vertex_verdict == VERDICT_BOTH_HOLD
         assert cv.edge_verdict == VERDICT_BOTH_HOLD
 
@@ -264,6 +275,6 @@ class TestStructurePredicates:
             [(i, j) for i in range(4) for j in range(i + 1, 4)]
             + [(3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6)],
         )
-        assert is_block_forest_of_kr(g, 4)
-        assert not is_block_forest_of_kr(g, 3)
-        assert not is_block_forest_of_kr(PAW, 3)  # the pendant bridge is a K2 block
+        assert is_block_forest_of_kr(g, 4, block_decomposition(g))
+        assert not is_block_forest_of_kr(g, 3, block_decomposition(g))
+        assert not is_block_forest_of_kr(PAW, 3, block_decomposition(PAW))  # the pendant bridge is a K2 block

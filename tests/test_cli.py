@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from cliquebounds.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
 
 
@@ -171,6 +173,17 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--exhaustive", "3", "--kinds", "bogus")
         assert code == EXIT_USAGE
         assert "unknown bound kind" in err
+
+
+@pytest.mark.parametrize("bad_t", ["0", "5:3", "a:b"])
+@pytest.mark.parametrize("verb", ["analyze", "verify", "search"])
+def test_invalid_t_range_exits_2(capsys, tmp_path, verb, bad_t):
+    path = tmp_path / "k4.g6"
+    path.write_text("C~\n")
+    target = {"analyze": ["C~"], "verify": [str(path)], "search": ["--exhaustive", "3"]}[verb]
+    code, _, err = run(capsys, verb, *target, "--t", bad_t)
+    assert code == EXIT_USAGE
+    assert "error" in err
 
 
 class TestEnumerate:

@@ -1,5 +1,7 @@
 """Sweep harness: finding generation, replayability, determinism, sources."""
 
+import functools
+
 import pytest
 
 from cliquebounds import (
@@ -7,7 +9,11 @@ from cliquebounds import (
     GraphSource,
     SearchConfig,
     canonical_form,
+    connected_components,
+    count_cliques,
+    enumerate_graphs,
     from_edge_list,
+    is_clique,
     parse_graph6,
     replay_finding,
     run_sweep,
@@ -66,6 +72,62 @@ def test_replay_rejects_tampered_witness(small_sweep):
 
     assert not replay_finding(replace(finding, count=finding.count + 1))
     assert not replay_finding(replace(finding, graph6="garbage"))
+
+
+@pytest.fixture(scope="module")
+def min_slack_sweep():
+    source = GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5))
+    config = SearchConfig(t_min=1, t_max=5, kinds=DEFAULT_SWEEP_KINDS, emit_min_slack=True)
+    return run_sweep(source, config)
+
+
+@functools.cache
+def _graphs(n):
+    return enumerate_graphs(n)
+
+
+def _all_components_cliques(g):
+    return all(is_clique(g, comp) for comp in connected_components(g))
+
+
+def _swap_witness(f):
+    """Another graph with f's n and m on which f cannot hold, found without the sweep.
+
+    Count findings need a different K_t count; a t = 2 vertex discrepancy
+    needs a graph whose components are all cliques, where none can occur.
+    """
+    for h in _graphs(f.n):
+        if h.m != f.m or write_graph6(h) == f.graph6:
+            continue
+        if f.category == CATEGORY_CHAR_DISCREPANCY:
+            if _all_components_cliques(h):
+                return write_graph6(h)
+        elif count_cliques(h, f.t).total != f.count:
+            return write_graph6(h)
+    return None
+
+
+SWAPPED_CATEGORY = {
+    CATEGORY_EQUALITY_INSTANCE: CATEGORY_MIN_SLACK,
+    CATEGORY_MIN_SLACK: CATEGORY_EQUALITY_INSTANCE,
+    CATEGORY_CHAR_DISCREPANCY: CATEGORY_MIN_SLACK,
+}
+
+
+@pytest.mark.parametrize("category", sorted(SWAPPED_CATEGORY))
+def test_replay_rejects_tampered_findings(min_slack_sweep, category):
+    from dataclasses import replace
+
+    findings = [f for f in min_slack_sweep.findings if f.category == category]
+    assert findings
+    for f in findings:
+        assert not replay_finding(replace(f, count=f.count + 1)), f
+        assert not replay_finding(replace(f, bound_num=f.bound_num + 1)), f
+        assert not replay_finding(replace(f, category=SWAPPED_CATEGORY[category])), f
+    swaps = [(f, w) for f in findings if (w := _swap_witness(f)) is not None]
+    assert swaps
+    for f, witness in swaps:
+        assert not replay_finding(replace(f, graph6=witness)), (f, witness)
 
 
 def test_parallel_determinism(small_sweep):
@@ -170,3 +232,18 @@ def test_cap_errors_are_counted_not_skipped():
     result = run_sweep(source, config)
     assert len(result.summary["cap_errors"]) == 1
     assert result.summary["graphs"] == 2
+
+
+def test_dominance_violation_is_reported_and_replays(monkeypatch):
+    # Dominance never fails on real graphs, so break the comparison to drive that path.
+    from dataclasses import replace
+
+    import cliquebounds.search as search
+
+    real = search.compare_local_vs_classical
+    monkeypatch.setattr(search, "compare_local_vs_classical", lambda g, w, t: replace(real(g, w, t), vertex_ok=False))
+    result = run_sweep(GraphSource(kind="graph6_lines", lines=("C~",)), SearchConfig(t_min=3, t_max=3))
+    dom = [f for f in result.findings if f.kind == "dominance_vertex"]
+    assert len(dom) == 1 and dom[0].category == CATEGORY_BOUND_VIOLATION
+    assert replay_finding(dom[0])
+    assert not replay_finding(replace(dom[0], bound_num=dom[0].bound_num + 1))

@@ -271,12 +271,11 @@ class TestBlocks:
                     assert (masks[i] & masks[j]).bit_count() <= 1
 
     def test_block_forest_examples(self):
-        assert is_block_forest(path(5))
-        assert not is_block_forest(cycle(4))
+        for h, expected in ((path(5), True), (cycle(4), False), (from_edge_list(2, []), True)):
+            assert is_block_forest(h, block_decomposition(h)) == expected
         # K4 and K3 joined by a bridge
         g = from_edge_list(
             8,
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (3, 4)],
         )
-        assert is_block_forest(g)
-        assert is_block_forest(from_edge_list(2, []))
+        assert is_block_forest(g, block_decomposition(g))
