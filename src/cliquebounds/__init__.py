@@ -47,6 +47,7 @@ from .enumeration import (
     canonical_form,
     canonical_graph,
     enumerate_graphs,
+    enumerate_levels,
     random_gnp,
     random_graph,
     random_regular,

@@ -29,7 +29,7 @@ its vertices has t-1 neighbours in it, so the core's K_t count is g's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bounds import BoundReport, equals_count, local_vertex_bound
@@ -51,13 +51,14 @@ class EqualityCertificate:
     evidence: int | None  # offending component/block as a vertex bitmask, original ids
     reduced: Graph  # the graph the check ran on
     description: str
+    reduced_graph6: str | None = field(default=None, compare=False)  # when the caller has it already
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
             "holds": self.holds,
             "evidence": sorted(iter_bits(self.evidence)) if self.evidence is not None else None,
-            "reduced_graph6": write_graph6(self.reduced),
+            "reduced_graph6": self.reduced_graph6 if self.reduced_graph6 is not None else write_graph6(self.reduced),
             "description": self.description,
         }
 

@@ -118,7 +118,8 @@ def reports_for_t(order: OrderEvaluation) -> list[dict]:
 
 
 def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXACT_CAP) -> dict:
-    evaluation = evaluate_graph(g, ts, ANALYZE_KINDS, weight_cap)
+    graph6 = write_graph6(g)
+    evaluation = evaluate_graph(g, ts, ANALYZE_KINDS, weight_cap, graph6)
     weights = evaluation.weights
     decomp = weights.blocks
     all_count = sum(evaluation.census.values())
@@ -127,7 +128,7 @@ def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXAC
         make_report(KIND_WOOD_TOTAL, None, all_count, wood_total_bound(g.n, g.max_degree())),
     ]
     return {
-        "graph6": write_graph6(g),
+        "graph6": graph6,
         "n": g.n,
         "m": g.m,
         "degrees": list(g.degrees()),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from itertools import permutations, product
+from typing import Iterable, Iterator
 
 from .graph import Graph, GraphError, iter_bits, write_graph6
 from .weights import CapExceededError
@@ -91,12 +92,7 @@ def canonical_form(g: Graph) -> str:
     return write_graph6(canonical_graph(g))
 
 
-def enumerate_graphs(n: int) -> list[Graph]:
-    """One canonical representative per isomorphism class on n vertices.
-
-    Returned in ascending canonical-graph6 order. For n beyond the built-in
-    cap, pipe graph6 output from an external enumerator instead.
-    """
+def _check_order(n: int) -> None:
     if n < 0:
         raise GraphError(f"vertex count must be >= 0, got {n}")
     if n > ENUMERATION_CAP:
@@ -104,23 +100,48 @@ def enumerate_graphs(n: int) -> list[Graph]:
             f"built-in enumeration supports n <= {ENUMERATION_CAP}; "
             "for larger n, stream graph6 lines from an external enumerator"
         )
-    if n == 0:
-        return [Graph(0, [])]
-    level = {write_graph6(Graph(1, [0])): Graph(1, [0])}
-    for k in range(2, n + 1):
-        nxt: dict[str, Graph] = {}
-        newbit = 1 << (k - 1)
-        for g in level.values():
-            for subset in range(1 << (k - 1)):
-                rows = list(g.adj)
-                for v in iter_bits(subset):
-                    rows[v] |= newbit
-                rows.append(subset)
-                cand = Graph._raw(k, tuple(rows), g.m + subset.bit_count())
-                canon = canonical_graph(cand)
-                nxt.setdefault(write_graph6(canon), canon)
-        level = nxt
+
+
+def enumerate_graphs(n: int, parents: list[Graph] | None = None) -> list[Graph]:
+    """One canonical representative per isomorphism class on n vertices.
+
+    Returned in ascending canonical-graph6 order. Each class on n vertices
+    extends a class on n - 1 vertices by one vertex: ``parents`` are those
+    classes as this function returns them, and they are enumerated first when
+    omitted. For n beyond the built-in cap, pipe graph6 output from an
+    external enumerator instead.
+    """
+    _check_order(n)
+    if n <= 1:
+        return [Graph(n, [0] * n)]
+    if parents is None:
+        parents = enumerate_graphs(n - 1)
+    level: dict[str, Graph] = {}
+    newbit = 1 << (n - 1)
+    for g in parents:
+        if g.n != n - 1:
+            raise ValueError(f"parents of {n}-vertex graphs have {n - 1} vertices, got {g.n}")
+        for subset in range(newbit):
+            rows = list(g.adj)
+            for v in iter_bits(subset):
+                rows[v] |= newbit
+            rows.append(subset)
+            canon = canonical_graph(Graph._raw(n, tuple(rows), g.m + subset.bit_count()))
+            level.setdefault(write_graph6(canon), canon)
     return [level[key] for key in sorted(level)]
+
+
+def enumerate_levels(ns: Iterable[int]) -> Iterator[list[Graph]]:
+    """``enumerate_graphs(n)`` for each n in ``ns``, in that order, building
+    each level once from the level below it. Every n is checked first."""
+    ns = tuple(ns)
+    for n in ns:
+        _check_order(n)
+    levels = [enumerate_graphs(0)]  # levels[k]: the classes on k vertices
+    for n in ns:
+        while len(levels) <= n:
+            levels.append(enumerate_graphs(len(levels), levels[-1]))
+        yield levels[n]
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:

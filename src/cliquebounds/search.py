@@ -58,7 +58,7 @@ from .certificates import (
     vertex_equality_certificate,
 )
 from .cliques import clique_census
-from .enumeration import enumerate_graphs, random_graph
+from .enumeration import enumerate_levels, random_graph
 from .graph import Graph, GraphError, connected_components, parse_graph6, write_graph6
 from .weights import DEFAULT_EXACT_CAP, CapExceededError, WeightMap, all_weights
 
@@ -113,8 +113,8 @@ class GraphSource:
     def graphs(self) -> Iterator[str]:
         """Yield graph6 lines, already validated and filtered."""
         if self.kind == "exhaustive":
-            for n in self.ns:
-                for g in enumerate_graphs(n):
+            for level in enumerate_levels(self.ns):
+                for g in level:
                     if self._accept(g):
                         yield write_graph6(g)
         elif self.kind == "graph6_file":
@@ -198,25 +198,30 @@ def order_range(g: Graph, t_min: int, t_max: int | None) -> range:
     return range(t_min, (t_max if t_max is not None else max(g.max_degree() + 1, t_min)) + 1)
 
 
-def classical_certificates(g: Graph, weights: WeightMap, kinds: tuple[str, ...]) -> dict[str, EqualityCertificate]:
-    """The certificates of the requested classical kinds; none depends on t."""
+def classical_certificates(
+    g: Graph, weights: WeightMap, kinds: tuple[str, ...], graph6: str | None = None
+) -> dict[str, EqualityCertificate]:
+    """The certificates of the requested classical kinds; none depends on t.
+
+    Each one checks g itself; ``graph6``, if given, is g's graph6.
+    """
     out = {}
     if KIND_WOOD in kinds:
         size = g.max_degree() + 1
         out[KIND_WOOD] = EqualityCertificate(
-            "wood", is_disjoint_clique_union(g, size), None, g, f"disjoint union of cliques on {size} vertices"
+            "wood", is_disjoint_clique_union(g, size), None, g, f"disjoint union of cliques on {size} vertices", graph6
         )
     if KIND_CC_PATH in kinds:
         r = classical_path_r(weights, g.m)
         out[KIND_CC_PATH] = EqualityCertificate(
             "cc_path", is_clique_union_with_isolated(g, r), None, g,
-            f"disjoint union of cliques on {r} vertices plus isolated vertices",
+            f"disjoint union of cliques on {r} vertices plus isolated vertices", graph6,
         )
     if KIND_CC_CYCLE in kinds:
         r = classical_cycle_r(weights)
         out[KIND_CC_CYCLE] = EqualityCertificate(
             "cc_cycle", is_block_forest_of_kr(g, r, weights.blocks), None, g,
-            f"block forest with every block a clique on {r} vertices",
+            f"block forest with every block a clique on {r} vertices", graph6,
         )
     return out
 
@@ -266,16 +271,17 @@ class GraphEvaluation:
 
 
 def evaluate_graph(
-    g: Graph, ts: Iterable[int], kinds: tuple[str, ...], weight_cap: int = DEFAULT_EXACT_CAP
+    g: Graph, ts: Iterable[int], kinds: tuple[str, ...], weight_cap: int = DEFAULT_EXACT_CAP, graph6: str | None = None
 ) -> GraphEvaluation:
     """Evaluate the given kinds at every order in ``ts``, each item exactly once.
 
     The edge-path pair is cross-validated together with the vertex pair, so
-    it is checked only where local_vertex is among ``kinds``.
+    it is checked only where local_vertex is among ``kinds``. ``graph6``, if
+    given, is g's graph6; the certificates that check g itself reuse it.
     """
     weights = all_weights(g, weight_cap)
     census = clique_census(g)
-    classical = classical_certificates(g, weights, kinds)
+    classical = classical_certificates(g, weights, kinds, graph6)
     orders = []
     for t in ts:
         if t < 1:

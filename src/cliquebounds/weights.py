@@ -7,7 +7,7 @@ side of the edge, pruned by the current best and a reachability upper bound.
 No heuristic fallback exists above the vertex cap; bounds computed from
 underestimated weights would be unsound, so we fail loudly instead.
 
-``all_weights`` runs the same searches as the per-edge functions, with three
+``all_weights`` runs the same searches as the per-edge functions, with four
 shortcuts that cannot change a result:
 
 - Block restriction. A cycle lies inside one biconnected block (Hopcroft and
@@ -19,6 +19,12 @@ shortcuts that cannot change a result:
   for every edge on it. A later search starts from its edge's bound and
   prunes only what cannot beat it, so it returns the true maximum whenever
   that is larger, and otherwise the bound, which a concrete path attains.
+- Exchange-argument witnesses. Each witness yields more concrete paths and
+  cycles (``_expand``): paths through the chords of a cycle and through the
+  edges leaving it, crossover cycles through two chords (the switch in the
+  proof of Ore's theorem, O. Ore, 1960), rotated paths through an edge from
+  an end (L. Posa, 1976), and the cycle a path closes into. Their bounds are
+  witnessed too, so they only let more searches be skipped.
 - Ceiling skip. No search runs once the bound equals the ceiling: the
   block's vertex count for c(e), the component's vertex count minus 1 for
   p(e).
@@ -32,6 +38,8 @@ from typing import Sequence
 from .graph import Graph, GraphError, connected_components, is_clique, iter_bits, reachable_within
 
 DEFAULT_EXACT_CAP = 20
+# Witnesses derived by the exchange rules from one search's witness, at most.
+WITNESS_CAP = 200
 
 
 class CapExceededError(GraphError):
@@ -174,12 +182,133 @@ def longest_cycle_through_edge(g: Graph, e: tuple[int, int], cap: int = DEFAULT_
     return _longest_cycle(g.adj, u, v, g.vertex_mask(), 1)[0] + 1
 
 
-def _raise_along(bounds: dict[tuple[int, int], int], seq: list[int], length: int) -> None:
+Bounds = dict[tuple[int, int], int]
+Witnesses = list[tuple[list[int], bool, bool]]  # (sequence, closed, whether its vertex set is new)
+
+
+def _raise_along(bounds: Bounds, seq: list[int], length: int) -> None:
     """Raise the bound of every edge between consecutive vertices of ``seq`` to ``length``."""
     for x, y in zip(seq, seq[1:]):
         key = (x, y) if x < y else (y, x)
         if bounds[key] < length:
             bounds[key] = length
+
+
+def _crossover(cycle: list[int], i: int, j: int) -> list[int]:
+    """The cycle c_i c_j c_{j-1} ... c_{i+1} c_{j+1} ... c_{i-1} of the same length.
+
+    It exists when c_i c_j is a chord of ``cycle`` and c_{i+1} c_{j+1} is an
+    edge (indices mod the length), and it uses both: the switch in the proof
+    of Ore's theorem. For the other orientation, pass the reversed cycle.
+    """
+    rot = cycle[i:] + cycle[:i]
+    k = (j - i) % len(cycle)
+    return rot[:1] + rot[k:0:-1] + rot[k + 1 :]
+
+
+def _rotation(path: list[int], i: int) -> list[int]:
+    """The path x_0 ... x_i x_k x_{k-1} ... x_{i+1}, of the same length.
+
+    It exists when x_i x_k is an edge, and it uses that edge: Posa's
+    rotation with x_0 fixed. For the other end, pass the reversed path.
+    """
+    return path[: i + 1] + path[:i:-1]
+
+
+def _expand(adj: Sequence[int], p: Bounds, c: Bounds, witness: list[int], closed: bool) -> None:
+    """Raise p and c from a witnessed path, or cycle if ``closed``, and from
+    the witnesses the exchange rules derive from it, at most WITNESS_CAP.
+
+    Every raised bound is attained by a concrete path or cycle:
+    - A cycle of length L gives c >= L and p >= L - 1 on its edges, p >= L - 1
+      on each chord c_i c_j (the path c_{j-1} ... c_i c_j ... c_{i-1}) and
+      p >= L on each edge x c_i leaving it (the path x c_i c_{i+1} ... c_{i-1}).
+    - A chord and a crossing edge give a crossover cycle on the same vertices
+      (``_crossover``); it raises c on its two new edges.
+    - A path of length k gives p >= k on its edges. An edge from an end to an
+      inner vertex gives a rotated path (``_rotation``) that raises p on that
+      edge; adjacent ends close the path into a cycle of length k + 1.
+    A derived witness is expanded in turn only if it raised a bound, so the
+    expansion ends even without the cap.
+    """
+    queue: Witnesses = [(witness, closed, True)]
+    for seq, closed, fresh in queue:  # grows while it is walked
+        if closed:
+            _cycle_rules(adj, p, c, seq, fresh, queue)
+        else:
+            _path_rules(adj, p, c, seq, fresh, queue)
+
+
+def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], fresh: bool, queue: Witnesses) -> None:
+    length = len(cycle)
+    mask = 0
+    for x in cycle:
+        mask |= 1 << x
+    ring = cycle + cycle[:1]
+    succ = dict(zip(cycle, ring[1:]))
+    pred = dict(zip(ring[1:], cycle))
+    reverse = cycle[::-1]
+    if fresh:
+        # A crossover cycle has its parent's vertex set, so its own edges,
+        # chords and leaving edges are already raised.
+        _raise_along(c, ring, length)
+        _raise_along(p, ring, length - 1)
+        for x in cycle:
+            out = adj[x] & ~mask
+            while out:
+                low = out & -out
+                out ^= low
+                y = low.bit_length() - 1
+                key = (x, y) if x < y else (y, x)
+                if p[key] < length:
+                    p[key] = length
+    for x in cycle:
+        sx, px = succ[x], pred[x]
+        # each chord once, from its lower end
+        chords = adj[x] & mask & ~((1 << sx) | (1 << px)) & ~((1 << x) - 1)
+        while chords:
+            low = chords & -chords
+            chords ^= low
+            y = low.bit_length() - 1
+            if fresh and p[x, y] < length - 1:
+                p[x, y] = length - 1
+            for order, a, b in ((cycle, sx, succ[y]), (reverse, px, pred[y])):
+                if not adj[a] >> b & 1:
+                    continue
+                key = (a, b) if a < b else (b, a)
+                if c[x, y] < length or c[key] < length:
+                    c[x, y] = max(c[x, y], length)
+                    c[key] = max(c[key], length)
+                    if len(queue) <= WITNESS_CAP:
+                        queue.append((_crossover(order, order.index(x), order.index(y)), True, False))
+
+
+def _path_rules(adj: Sequence[int], p: Bounds, c: Bounds, path: list[int], fresh: bool, queue: Witnesses) -> None:
+    length = len(path) - 1
+    if fresh:
+        _raise_along(p, path, length)
+    head, tail = path[0], path[-1]
+    if length >= 2 and adj[head] >> tail & 1:
+        key = (head, tail) if head < tail else (tail, head)
+        if c[key] < length + 1:
+            c[key] = length + 1
+            if len(queue) <= WITNESS_CAP:
+                queue.append((path, True, True))
+    mask = 0
+    for x in path:
+        mask |= 1 << x
+    for order in (path, path[::-1]):
+        end = order[-1]
+        inner = adj[end] & mask & ~(1 << order[-2])
+        while inner:
+            low = inner & -inner
+            inner ^= low
+            x = low.bit_length() - 1
+            key = (x, end) if x < end else (end, x)
+            if p[key] < length:
+                p[key] = length
+                if len(queue) <= WITNESS_CAP:
+                    queue.append((_rotation(order, order.index(x)), False, False))
 
 
 def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
@@ -205,17 +334,13 @@ def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
         u, v = e
         mask = block.get(e)
         if mask is not None and c[e] < mask.bit_count():
-            length, cyc = _longest_cycle(adj, u, v, mask, c[e] - 1)
+            cyc = _longest_cycle(adj, u, v, mask, c[e] - 1)[1]
             if cyc is not None:
-                # A cycle of length L witnesses c >= L and, minus any other
-                # of its edges, a path of length L - 1 through each edge.
-                cyc.append(u)
-                _raise_along(c, cyc, length + 1)
-                _raise_along(p, cyc, length)
+                _expand(adj, p, c, cyc, True)
         if p[e] < component[u].bit_count() - 1:
-            length, path = _longest_path(adj, u, v, component[u], p[e])
+            path = _longest_path(adj, u, v, component[u], p[e])[1]
             if path is not None:
-                _raise_along(p, path, length)
+                _expand(adj, p, c, path, False)
     longest_path = max(p.values(), default=0)
     circumference = max((length for length in c.values() if length >= 3), default=0)
     return WeightMap(g.degrees(), p, c, longest_path, circumference, decomp)

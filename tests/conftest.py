@@ -1,12 +1,12 @@
 import pytest
 
-from cliquebounds import enumerate_graphs
+from cliquebounds import enumerate_levels
 
 
 @pytest.fixture(scope="session")
 def corpus():
     """All non-isomorphic graphs up to 7 vertices, keyed by vertex count."""
-    return {n: enumerate_graphs(n) for n in range(1, 8)}
+    return dict(zip(range(1, 8), enumerate_levels(range(1, 8))))
 
 
 @pytest.fixture(scope="session")

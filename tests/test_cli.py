@@ -72,6 +72,22 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["t_values"] == [2, 3, 4]
 
+    def test_certificates_of_g_itself_reuse_the_report_graph6(self, monkeypatch):
+        import cliquebounds.certificates as certificates
+        from cliquebounds import parse_graph6
+        from cliquebounds.cli import build_analyze_report
+
+        g = parse_graph6("IheA@GUAo")  # the Petersen graph
+        encoded = []
+        original = certificates.write_graph6
+        monkeypatch.setattr(certificates, "write_graph6", lambda h: encoded.append(h) or original(h))
+        report = build_analyze_report(g, [2, 3, 4])
+        assert encoded and all(h is not g for h in encoded)
+        kinds = ("wood_classical", "cc_path_classical", "cc_cycle_classical")
+        classical = [r for r in report["reports"] if r["kind"] in kinds]
+        assert len(classical) == 9
+        assert all(r["certificate"]["reduced_graph6"] == report["graph6"] == "IheA@GUAo" for r in classical)
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", "E??*")
         assert code == EXIT_USAGE
@@ -168,6 +184,11 @@ class TestSearch:
         )
         assert code == EXIT_OK
         assert json.loads(out)["summary"]["graphs"] == 10
+
+    def test_exhaustive_order_over_the_cap_exits_2(self, capsys):
+        code, _, err = run(capsys, "search", "--exhaustive", "3,9")
+        assert code == EXIT_USAGE
+        assert "external enumerator" in err
 
     def test_unknown_kind_exits_2(self, capsys):
         code, _, err = run(capsys, "search", "--exhaustive", "3", "--kinds", "bogus")

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from cliquebounds import (
     CapExceededError,
     Graph,
+    GraphError,
     canonical_form,
     canonical_graph,
     enumerate_graphs,
+    enumerate_levels,
     from_edge_list,
     random_gnp,
     random_graph,
@@ -91,6 +93,42 @@ class TestEnumeration:
     def test_over_cap_suggests_external_enumerator(self):
         with pytest.raises(CapExceededError, match="external enumerator"):
             enumerate_graphs(9)
+
+
+def forms(graphs):
+    return [write_graph6(g) for g in graphs]
+
+
+class TestLevels:
+    def test_levels_match_per_n_enumeration_in_request_order(self):
+        ns = (4, 2, 4, 0, 5, 1)
+        assert [forms(level) for level in enumerate_levels(ns)] == [forms(enumerate_graphs(n)) for n in ns]
+
+    def test_given_parents_give_the_same_level(self):
+        assert forms(enumerate_graphs(5, enumerate_graphs(4))) == forms(enumerate_graphs(5))
+
+    def test_parents_of_the_wrong_order_are_rejected(self):
+        with pytest.raises(ValueError, match="parents"):
+            enumerate_graphs(5, enumerate_graphs(3))
+
+    def test_each_level_is_built_once(self, monkeypatch):
+        import cliquebounds.enumeration as enumeration
+
+        calls = []
+        original = enumeration.canonical_graph
+        monkeypatch.setattr(enumeration, "canonical_graph", lambda g: calls.append(g.n) or original(g))
+        assert [len(level) for level in enumerate_levels(range(1, 6))] == [1, 2, 4, 11, 34]
+        # level k canonicalises every one-vertex extension of level k - 1 once
+        assert len(calls) == 1 * 2 + 2 * 4 + 4 * 8 + 11 * 16
+
+    def test_every_order_is_checked_before_any_level_is_built(self, monkeypatch):
+        import cliquebounds.enumeration as enumeration
+
+        monkeypatch.setattr(enumeration, "canonical_graph", None)  # any build would fail with TypeError
+        with pytest.raises(CapExceededError, match="external enumerator"):
+            next(enumerate_levels([3, 9]))
+        with pytest.raises(GraphError):
+            next(enumerate_levels([3, -1]))
 
 
 class TestRandomModels:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import cliquebounds.weights as kernel
 from cliquebounds import (
     CapExceededError,
     all_weights,
@@ -15,7 +16,7 @@ from cliquebounds import (
 from cliquebounds.enumeration import random_gnp
 from cliquebounds.graph import GraphError, connected_components
 from cliquebounds.oracles import dp_all_weights
-from cliquebounds.weights import block_vertex_sets
+from cliquebounds.weights import _crossover, _expand, _longest_cycle, _longest_path, _rotation, block_vertex_sets
 
 
 def K(n):
@@ -279,3 +280,232 @@ class TestBlocks:
             [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (3, 4)],
         )
         assert is_block_forest(g, block_decomposition(g))
+
+
+# ---------------------------------------------------------------- exchange rules
+
+
+PETERSEN = from_edge_list(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]  # outer 5-cycle
+    + [(i, i + 5) for i in range(5)]  # spokes
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],  # inner pentagram
+)
+K33 = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)] + [(0, 3), (1, 4), (2, 5)])  # C6 plus its long diagonals
+
+
+def wheel(k):
+    """Hub 0 and rim 1..k; the cycle 0, 1, ..., k is Hamiltonian."""
+    return from_edge_list(k + 1, [(0, i) for i in range(1, k + 1)] + [(i, i + 1) for i in range(1, k)] + [(k, 1)])
+
+
+def complete_minus_matching(n):
+    """K_n without the edges (0, 1), (2, 3), ...; for 4 | n, the cycle 0, 2, 1, 3, 4, 6, 5, 7, ... is Hamiltonian."""
+    return from_edge_list(n, [(i, j) for i in range(n) for j in range(i + 1, n) if not (i % 2 == 0 and j == i + 1)])
+
+
+def assert_path(g, seq, length, through):
+    """``seq`` is a simple path of g with ``length`` edges that uses the edge ``through``."""
+    assert len(seq) == len(set(seq)) == length + 1, seq
+    steps = list(zip(seq, seq[1:]))
+    assert all(g.adj[x] >> y & 1 for x, y in steps), seq
+    assert through in steps or through[::-1] in steps, (seq, through)
+
+
+def assert_cycle(g, seq, length, through):
+    """``seq`` is a cycle of g of ``length`` that uses every edge in ``through``."""
+    assert len(seq) == len(set(seq)) == length >= 3, seq
+    steps = list(zip(seq, seq[1:] + seq[:1]))
+    assert all(g.adj[x] >> y & 1 for x, y in steps), seq
+    for e in through:
+        assert e in steps or e[::-1] in steps, (seq, e)
+
+
+def fresh_bounds(g):
+    return dict.fromkeys(g.edges(), 1), dict.fromkeys(g.edges(), 2)
+
+
+def expanded(g, witness, closed):
+    p, c = fresh_bounds(g)
+    _expand(g.adj, p, c, witness, closed)
+    return p, c
+
+
+def chords(g, cyc):
+    """(i, j) with i < j for every chord c_i c_j of the cycle ``cyc``."""
+    L = len(cyc)
+    return [(i, j) for i in range(L) for j in range(i + 2, L) if (i, j) != (0, L - 1) and g.adj[cyc[i]] >> cyc[j] & 1]
+
+
+def crossovers(g, cyc):
+    """(cycle in the orientation used, i, j) for every chord with a crossing edge."""
+    L = len(cyc)
+    out = []
+    for order in (cyc, cyc[::-1]):
+        for i, j in chords(g, order):
+            if g.adj[order[(i + 1) % L]] >> order[(j + 1) % L] & 1:
+                out.append((order, i, j))
+    return out
+
+
+def hamiltonian_graphs():
+    yield K33, list(range(6))
+    for k in (3, 5, 8):
+        yield wheel(k), list(range(k + 1))
+    for n in (8, 12):
+        yield complete_minus_matching(n), [v for i in range(0, n, 4) for v in (i, i + 2, i + 1, i + 3)]
+    yield K(6), list(range(6))
+
+
+class TestExchangeRules:
+    """Each rule's witness is a real path or cycle of the stated length, edge by edge."""
+
+    def test_hamiltonian_fixtures(self):
+        for g, cyc in hamiltonian_graphs():
+            assert_cycle(g, cyc, g.n, [])
+
+    def test_chord_paths(self):
+        # the chord c_i c_j lies on c_{j-1} ... c_{i+1} c_i c_j c_{j+1} ... c_{i-1}
+        for g, cyc in hamiltonian_graphs():
+            L = len(cyc)
+            p, _ = expanded(g, cyc, True)
+            for i, j in chords(g, cyc):
+                rot = cyc[i:] + cyc[:i]
+                k = j - i
+                assert_path(g, rot[k - 1 :: -1] + rot[k:], L - 1, (cyc[i], cyc[j]))
+                assert p[min(cyc[i], cyc[j]), max(cyc[i], cyc[j])] >= L - 1
+
+    def test_chord_at_the_wrap_around(self):
+        # K33's cycle 0..5: the chords (0, 3) and (2, 5) touch index 0 and index L - 1
+        assert (0, 3) in chords(K33, list(range(6))) and (2, 5) in chords(K33, list(range(6)))
+
+    def test_leaving_edge_paths(self):
+        # a K4 cycle plus pendant vertices: x c_i c_{i+1} ... c_{i-1} has L edges
+        g = from_edge_list(6, K(4).edges() + [(0, 4), (3, 5)])
+        cyc = [0, 1, 2, 3]
+        p, _ = expanded(g, cyc, True)
+        for x, i in ((4, 0), (5, 3)):
+            rot = cyc[i:] + cyc[:i]
+            assert_path(g, [x] + rot, 4, (x, cyc[i]))
+            assert p[min(x, cyc[i]), max(x, cyc[i])] == 4
+
+    def test_crossover_cycles(self):
+        for g, cyc in hamiltonian_graphs():
+            L = len(cyc)
+            found = crossovers(g, cyc)
+            assert found, g
+            for order, i, j in found:
+                new = (order[(i + 1) % L], order[(j + 1) % L])
+                assert_cycle(g, _crossover(order, i, j), L, [(order[i], order[j]), new])
+
+    def test_crossover_wrap_around(self):
+        cyc = list(range(6))
+        # partner c_{j+1} = c_0: the chord (2, 5) crosses the edge (3, 0)
+        assert_cycle(K33, _crossover(cyc, 2, 5), 6, [(2, 5), (3, 0)])
+        # chord at i = 0, in the reversed orientation, whose c_{i+1} is c_{L-1} = 5
+        rev = cyc[::-1]
+        assert_cycle(K33, _crossover(rev, rev.index(3), rev.index(0)), 6, [(3, 0), (2, 5)])
+
+    def test_crossovers_reach_the_ceiling_on_every_chord(self):
+        for g, cyc in hamiltonian_graphs():
+            p, c = expanded(g, cyc, True)
+            assert set(c.values()) == {g.n}, g
+            assert set(p.values()) == {g.n - 1}, g
+
+    def test_rotations_at_both_ends(self):
+        # the path 0-1-2-3-4-5 with chords from both ends to inner vertices
+        g = from_edge_list(6, [(i, i + 1) for i in range(5)] + [(5, 1), (5, 2), (0, 3), (0, 4)])
+        path = list(range(6))
+        for order in (path, path[::-1]):
+            end = order[-1]
+            inner = [i for i in range(len(order) - 2) if g.adj[end] >> order[i] & 1]
+            assert len(inner) == 2
+            for i in inner:
+                assert_path(g, _rotation(order, i), 5, (order[i], end))
+        p, c = expanded(g, path, False)
+        assert all(p[e] == 5 for e in [(1, 5), (2, 5), (0, 3), (0, 4)])
+        oracle = dp_all_weights(g)
+        assert all(p[e] <= oracle.p[e] and c[e] <= oracle.c[e] for e in g.edges())
+
+    def test_rotation_next_to_the_end(self):
+        # x_k adjacent to x_0 (i = 0): the rotation is the path reversed after x_0
+        path = [0, 1, 2, 3]
+        assert _rotation(path, 0) == [0, 3, 2, 1]
+        assert _rotation(path, 1) == [0, 1, 3, 2]
+
+    def test_path_with_adjacent_ends_closes(self):
+        g = with_edges(path(5), [(0, 4)])
+        p, c = expanded(g, list(range(5)), False)
+        assert_cycle(g, list(range(5)), 5, [(0, 4)])
+        assert set(c.values()) == {5} and set(p.values()) == {4}
+
+    def test_petersen_never_gets_a_hamiltonian_cycle(self):
+        g = PETERSEN
+        full = g.vertex_mask()
+        oracle = dp_all_weights(g)
+        assert oracle.circumference == 9 and oracle.longest_path == 9
+        p, c = fresh_bounds(g)
+        for u, v in g.edges():
+            _, cyc = _longest_cycle(g.adj, u, v, full, 1)
+            _expand(g.adj, p, c, cyc, True)
+            _, walk = _longest_path(g.adj, u, v, full, 1)
+            _expand(g.adj, p, c, walk, False)
+            assert max(c.values()) <= 9
+        assert p == oracle.p and c == oracle.c
+        assert all_weights(g) == oracle
+
+    def test_derived_bounds_never_exceed_the_oracle(self):
+        for seed in range(20):
+            g = random_gnp(9, 0.5, seed)
+            oracle = dp_all_weights(g)
+            full = g.vertex_mask()
+            for u, v in g.edges()[:4]:
+                for search, closed in ((_longest_cycle, True), (_longest_path, False)):
+                    _, seq = search(g.adj, u, v, full, 1)
+                    if seq is None:
+                        continue
+                    p, c = expanded(g, seq, closed)
+                    assert all(p[e] <= oracle.p[e] and c[e] <= oracle.c[e] for e in p), g
+
+
+def test_all_weights_matches_the_oracle_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 9), st.floats(0.2, 0.8), st.integers(0, 2**32 - 1))
+    def check(n, density, seed):
+        g = random_gnp(n, density, seed)
+        fast, slow = all_weights(g), dp_all_weights(g)
+        assert (fast.p, fast.c, fast.longest_path, fast.circumference) == (
+            slow.p, slow.c, slow.longest_path, slow.circumference
+        )
+
+    check()
+
+
+def test_exchange_rules_keep_the_searches_few(monkeypatch):
+    """A guard on the number of kernel searches over a fixed dense corpus.
+
+    With every rule, the 40 graphs below take 74 cycle and 13 path searches.
+    Without crossovers they take 566 cycle searches; without rotations, 28
+    path searches; without the chord rule, 71. The kernel of witnessed
+    incumbents alone took 566 and 34.
+    """
+    calls = {"cycle": 0, "path": 0}
+
+    def counted(name, search):
+        def wrapper(*args):
+            calls[name] += 1
+            return search(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(kernel, "_longest_cycle", counted("cycle", kernel._longest_cycle))
+    monkeypatch.setattr(kernel, "_longest_path", counted("path", kernel._longest_path))
+    for n in range(10, 14):
+        for density in (0.5, 0.7):
+            for seed in range(5):
+                all_weights(random_gnp(n, density, seed))
+    assert calls["cycle"] <= 100, calls
+    assert calls["path"] <= 20, calls
