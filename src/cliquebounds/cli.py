@@ -108,8 +108,10 @@ def _edge_key(e: tuple[int, int]) -> str:
     return f"{e[0]}-{e[1]}"
 
 
-# The per-order kinds of an analyze report, in report order.
-ANALYZE_KINDS = (KIND_LOCAL_VERTEX, KIND_WOOD, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_CC_PATH, KIND_CC_CYCLE)
+# The kinds evaluated at each order t, in analyze report order.
+PER_ORDER_KINDS = (
+    KIND_LOCAL_VERTEX, KIND_WOOD, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_CC_PATH, KIND_CC_CYCLE
+)
 
 
 def reports_for_t(order: OrderEvaluation) -> list[dict]:
@@ -119,7 +121,7 @@ def reports_for_t(order: OrderEvaluation) -> list[dict]:
 
 def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXACT_CAP) -> dict:
     graph6 = write_graph6(g)
-    evaluation = evaluate_graph(g, ts, ANALYZE_KINDS, weight_cap, graph6)
+    evaluation = evaluate_graph(g, ts, PER_ORDER_KINDS, weight_cap, graph6)
     weights = evaluation.weights
     decomp = weights.blocks
     all_count = sum(evaluation.census.values())
@@ -193,11 +195,11 @@ def render_human_report(report: dict) -> str:
 
 def _parse_kinds(raw: str) -> tuple[str, ...]:
     if raw == "all":
-        return tuple(k for k in BOUND_KINDS if k not in (KIND_WOOD_TOTAL, KIND_LOCAL_VERTEX_TOTAL))
+        return tuple(k for k in BOUND_KINDS if k in PER_ORDER_KINDS)
     kinds = tuple(k.strip() for k in raw.split(",") if k.strip())
     for k in kinds:
-        if k not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {k!r} (known: {', '.join(BOUND_KINDS)})")
+        if k not in PER_ORDER_KINDS:
+            raise ValueError(f"unknown bound kind {k!r} (per-order kinds: {', '.join(PER_ORDER_KINDS)})")
     return kinds
 
 

@@ -116,7 +116,7 @@ def enumerate_graphs(n: int, parents: list[Graph] | None = None) -> list[Graph]:
         return [Graph(n, [0] * n)]
     if parents is None:
         parents = enumerate_graphs(n - 1)
-    level: dict[str, Graph] = {}
+    level: dict[tuple[int, ...], Graph] = {}  # keyed by canonical adjacency rows
     newbit = 1 << (n - 1)
     for g in parents:
         if g.n != n - 1:
@@ -127,8 +127,8 @@ def enumerate_graphs(n: int, parents: list[Graph] | None = None) -> list[Graph]:
                 rows[v] |= newbit
             rows.append(subset)
             canon = canonical_graph(Graph._raw(n, tuple(rows), g.m + subset.bit_count()))
-            level.setdefault(write_graph6(canon), canon)
-    return [level[key] for key in sorted(level)]
+            level.setdefault(canon.adj, canon)
+    return sorted(level.values(), key=write_graph6)
 
 
 def enumerate_levels(ns: Iterable[int]) -> Iterator[list[Graph]]:

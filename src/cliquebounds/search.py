@@ -5,13 +5,14 @@ certificates and verdicts are derived: per requested order t it takes the
 K_t count from one clique census, builds each kind's bound and certificate
 through ``evaluate_kind``, then the cross-validation, the cycle-conjecture
 verdict and the dominance record from those. ``analyze`` renders that
-result, ``sweep_worker`` serialises it, and ``replay_finding`` re-evaluates
-a witness through it.
+result, ``sweep_worker`` builds each finding from it once, and
+``replay_finding`` re-evaluates a witness through ``sweep_worker`` and
+looks for the finding among the ones it builds.
 
 Workers see one graph at a time (as its graph6 line, which doubles as the
-witness string) and return plain dicts; the consumer turns each into
-findings in stream order, so the output is identical for any parallelism
-width. Every finding can be replayed from its witness alone.
+witness string) and return its findings; the consumer merges them in stream
+order, so the output is identical for any parallelism width. Every finding
+can be replayed from its witness alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -141,7 +141,7 @@ class GraphSource:
             except GraphError as exc:
                 raise GraphError(f"line {lineno}: {exc}") from None
             if self._accept(g):
-                yield line
+                yield line.removeprefix(">>graph6<<")
 
 
 @dataclass(frozen=True)
@@ -163,21 +163,7 @@ class Finding:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "category": self.category,
-            "graph6": self.graph6,
-            "n": self.n,
-            "m": self.m,
-            "t": self.t,
-            "kind": self.kind,
-            "count": self.count,
-            "bound_num": self.bound_num,
-            "bound_den": self.bound_den,
-            "slack_num": self.slack_num,
-            "slack_den": self.slack_den,
-            "certificate": self.certificate,
-            "detail": self.detail,
-        }
+        return dict(vars(self))  # every field is a plain value: asdict's deep copy is 30x slower
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Finding":
@@ -307,15 +293,14 @@ def evaluate_graph(
     return GraphEvaluation(weights, census, orders)
 
 
-def _item(t: int, kind: str, count: int, bound: Fraction, slack: Fraction, certificate: bool | None, **extra) -> dict:
-    return {"t": t, "kind": kind, "count": count, "bound_num": bound.numerator, "bound_den": bound.denominator,
-            "slack_num": slack.numerator, "slack_den": slack.denominator, "certificate": certificate, **extra}
-
-
 def sweep_worker(line: str, config: SearchConfig) -> dict:
-    """Analyze one graph6 line; returns a JSON-able record."""
+    """Analyze one graph6 line; returns a record of its findings in stream
+    order, before any cap: the evaluations t-major in ``config.kinds``
+    order, then the characterization discrepancies, then the dominance
+    violations. An evaluation is a violation, an EQUALITY_INSTANCE or a
+    MIN_SLACK candidate by the sign of its report's slack."""
     g = parse_graph6(line)
-    record: dict = {"graph6": line, "n": g.n, "m": g.m, "error": None, "evals": [], "verdicts": [], "dominance_violations": []}
+    record: dict = {"graph6": line, "n": g.n, "m": g.m, "error": None, "findings": []}
     kinds = config.kinds
     if KIND_LOCAL_EDGE_PATH in kinds and KIND_LOCAL_VERTEX not in kinds:
         kinds += (KIND_LOCAL_VERTEX,)  # the edge pair is cross-validated with the vertex pair
@@ -324,25 +309,38 @@ def sweep_worker(line: str, config: SearchConfig) -> dict:
     except CapExceededError as exc:
         record["error"] = str(exc)
         return record
-    verdicts, violations = record["verdicts"], record["dominance_violations"]
+
+    def finding(category, t, kind, count, bound, slack, certificate, detail) -> Finding:
+        return Finding(category, line, g.n, g.m, t, kind, count, bound.numerator, bound.denominator,
+                       slack.numerator, slack.denominator, certificate, detail)
+
+    evals, verdicts, violations = [], [], []
     for order in evaluation.orders:
         t, count, reports, cv = order.t, order.count, order.reports, order.cross
         for kind in config.kinds:
             r = reports.get(kind)
-            if r is not None:
-                record["evals"].append(_item(t, kind, count, r.bound, r.slack, r.certificate.holds, equality=r.equality))
+            if r is None:
+                continue
+            if r.slack < 0:
+                category = CATEGORY_CONJECTURE_VIOLATION if kind == KIND_LOCAL_EDGE_CYCLE else CATEGORY_BOUND_VIOLATION
+                detail = f"count exceeds bound by {-r.slack}"
+            elif r.equality:
+                category, detail = CATEGORY_EQUALITY_INSTANCE, "bound attained exactly"
+            else:
+                category, detail = CATEGORY_MIN_SLACK, "smallest positive slack for this (n,t,kind)"
+            evals.append(finding(category, t, kind, count, r.bound, r.slack, r.certificate.holds, detail))
         if cv is not None and KIND_LOCAL_VERTEX in config.kinds and cv.vertex_verdict == VERDICT_DISCREPANCY:
             bound, cert = cv.vertex_core_bound, cv.vertex_core_certificate
             detail = f"core equality {cv.vertex_core_equality} vs core certificate {cert} (core {write_graph6(cv.vertex_core)})"
-            verdicts.append(_item(t, KIND_LOCAL_VERTEX, count, bound, bound - count, cert, detail=detail))
+            verdicts.append(finding(CATEGORY_CHAR_DISCREPANCY, t, KIND_LOCAL_VERTEX, count, bound, bound - count, cert, detail))
         if cv is not None and KIND_LOCAL_EDGE_PATH in config.kinds and cv.edge_verdict == VERDICT_DISCREPANCY:
             r = reports[KIND_LOCAL_EDGE_PATH]
             detail = f"equality {cv.edge_equality} vs certificate {cv.edge_certificate}"
-            verdicts.append(_item(t, r.kind, count, r.bound, r.slack, cv.edge_certificate, detail=detail))
+            verdicts.append(finding(CATEGORY_CHAR_DISCREPANCY, t, r.kind, count, r.bound, r.slack, cv.edge_certificate, detail))
         if order.cycle_verdict == VERDICT_DISCREPANCY:
             r = reports[KIND_LOCAL_EDGE_CYCLE]
             detail = f"equality {r.equality} vs block-forest certificate {r.certificate.holds}"
-            verdicts.append(_item(t, r.kind, count, r.bound, r.slack, r.certificate.holds, detail=detail))
+            verdicts.append(finding(CATEGORY_CHAR_DISCREPANCY, t, r.kind, count, r.bound, r.slack, r.certificate.holds, detail))
         dom = order.dominance
         pairs = []
         if dom is not None and not dom.vertex_ok:
@@ -351,7 +349,8 @@ def sweep_worker(line: str, config: SearchConfig) -> dict:
             pairs.append((KIND_DOMINANCE_EDGE, dom.local_edge, dom.cc_path))
         for kind, local, classical in pairs:
             detail = f"localized bound {local} exceeds classical bound {classical}"
-            violations.append(_item(t, kind, 0, classical, classical - local, None, detail=detail))
+            violations.append(finding(CATEGORY_BOUND_VIOLATION, t, kind, 0, classical, classical - local, None, detail))
+    record["findings"] = evals + verdicts + violations
     return record
 
 
@@ -359,42 +358,7 @@ def sweep_worker(line: str, config: SearchConfig) -> dict:
 class SweepResult:
     findings: list[Finding]
     summary: dict
-    rows: list[dict]
-
-
-def _category_for_violation(kind: str) -> str:
-    if kind == KIND_LOCAL_EDGE_CYCLE:
-        return CATEGORY_CONJECTURE_VIOLATION
-    return CATEGORY_BOUND_VIOLATION
-
-
-_ITEM_FIELDS = ("t", "kind", "count", "bound_num", "bound_den", "slack_num", "slack_den", "certificate")
-_ROW_FIELDS = ("t", "kind", "count", "bound_num", "bound_den", "equality", "certificate")
-
-
-def record_findings(record: dict) -> list[Finding]:
-    """Every finding a worker record supports, in stream order, before any cap.
-
-    An evaluation yields a violation, an EQUALITY_INSTANCE or a MIN_SLACK
-    candidate by the sign of its slack; a verdict yields a CHAR_DISCREPANCY
-    and a dominance violation a BOUND_VIOLATION.
-    """
-
-    def finding(category: str, item: dict, detail: str) -> Finding:
-        return Finding(category, record["graph6"], record["n"], record["m"], *(item[k] for k in _ITEM_FIELDS), detail)
-
-    out = []
-    for ev in record["evals"]:
-        slack = Fraction(ev["slack_num"], ev["slack_den"])
-        if slack < 0:
-            out.append(finding(_category_for_violation(ev["kind"]), ev, f"count exceeds bound by {-slack}"))
-        elif ev["equality"]:
-            out.append(finding(CATEGORY_EQUALITY_INSTANCE, ev, "bound attained exactly"))
-        else:
-            out.append(finding(CATEGORY_MIN_SLACK, ev, "smallest positive slack for this (n,t,kind)"))
-    out.extend(finding(CATEGORY_CHAR_DISCREPANCY, vd, vd["detail"]) for vd in record["verdicts"])
-    out.extend(finding(CATEGORY_BOUND_VIOLATION, dv, dv["detail"]) for dv in record["dominance_violations"])
-    return out
+    rows: list[Finding]  # the evaluation findings, when rows are collected
 
 
 def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
@@ -404,9 +368,9 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
     stream order regardless of the parallelism width.
     """
     findings: list[Finding] = []
-    rows: list[dict] = []
+    rows: list[Finding] = []
     equality_seen: dict[tuple[int, int], int] = {}
-    min_slack: dict[tuple[int, int, str], tuple[Fraction, Finding]] = {}
+    min_slack: dict[tuple[int, int, str], Finding] = {}
     stats_nt: dict[tuple[int, int], dict] = {}
     graphs_per_n: dict[int, int] = {}
     cap_errors: list[str] = []
@@ -416,15 +380,13 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
         """Merge one worker record; returns True when the sweep should stop."""
         nonlocal total_graphs
         total_graphs += 1
-        n, m, line = record["n"], record["m"], record["graph6"]
+        n = record["n"]
         graphs_per_n[n] = graphs_per_n.get(n, 0) + 1
         if record["error"] is not None:
-            cap_errors.append(f"{line}: {record['error']}")
+            cap_errors.append(f"{record['graph6']}: {record['error']}")
             return False
-        if config.collect_rows:
-            rows.extend({"graph6": line, "n": n, "m": m, **{k: ev[k] for k in _ROW_FIELDS}} for ev in record["evals"])
         stop = False
-        for f in record_findings(record):
+        for f in record["findings"]:
             if f.kind in DOMINANCE_KINDS:
                 findings.append(f)
                 stop = stop or config.stop_on_first
@@ -438,6 +400,8 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
                 findings.append(f)
                 continue
             ks["evaluations"] += 1
+            if config.collect_rows:
+                rows.append(f)
             if f.category == CATEGORY_EQUALITY_INSTANCE:
                 ks["equalities"] += 1
                 seen = equality_seen.get(key, 0)
@@ -445,10 +409,9 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
                     equality_seen[key] = seen + 1
                     findings.append(f)
             elif f.category == CATEGORY_MIN_SLACK:
-                slack = Fraction(f.slack_num, f.slack_den)
                 cur = min_slack.get((n, f.t, f.kind))
-                if cur is None or slack < cur[0]:
-                    min_slack[(n, f.t, f.kind)] = (slack, f)
+                if cur is None or f.slack_num * cur.slack_den < cur.slack_num * f.slack_den:
+                    min_slack[(n, f.t, f.kind)] = f
             else:
                 ks["violations"] += 1
                 findings.append(f)
@@ -468,8 +431,7 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
                 break
 
     if config.emit_min_slack:
-        for key in sorted(min_slack):
-            findings.append(min_slack[key][1])
+        findings.extend(min_slack[key] for key in sorted(min_slack))
 
     summary = {
         "graphs": total_graphs,
@@ -482,12 +444,8 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
             for (n, t) in sorted(stats_nt)
         },
         "min_positive_slack": {
-            f"n={n},t={t},kind={kind}": {
-                "slack_num": slack.numerator,
-                "slack_den": slack.denominator,
-                "graph6": finding.graph6,
-            }
-            for (n, t, kind), (slack, finding) in sorted(min_slack.items())
+            f"n={n},t={t},kind={kind}": {"slack_num": f.slack_num, "slack_den": f.slack_den, "graph6": f.graph6}
+            for (n, t, kind), f in sorted(min_slack.items())
         },
     }
     return SweepResult(findings, summary, rows)
@@ -495,14 +453,14 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
 
 def replay_finding(finding: Finding, weight_cap: int = DEFAULT_EXACT_CAP) -> bool:
     """Re-evaluate a finding's witness at its order, as the sweep does, and
-    confirm that the record yields this finding field for field."""
+    confirm that the sweep builds this finding field for field."""
     kinds = () if finding.kind in DOMINANCE_KINDS else (finding.kind,)
     config = SearchConfig(t_min=finding.t, t_max=finding.t, kinds=kinds, weight_cap=weight_cap)
     try:
         record = sweep_worker(finding.graph6, config)
     except ValueError:  # a malformed witness, order or kind
         return False
-    return finding in record_findings(record)
+    return finding in record["findings"]
 
 
 def findings_to_jsonl(findings: list[Finding]) -> str:
@@ -516,13 +474,14 @@ def summary_to_json(summary: dict) -> str:
 CSV_COLUMNS = ["graph6", "n", "m", "t", "kind", "count", "bound_num", "bound_den", "equality", "certificate"]
 
 
-def rows_to_csv(rows: list[dict]) -> str:
+def rows_to_csv(rows: list[Finding]) -> str:
+    """The evaluation findings as CSV; an evaluation is an equality exactly when its slack is 0."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        out = dict(row)
-        if out["certificate"] is None:
-            out["certificate"] = ""
-        writer.writerow(out)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(
+        (f.graph6, f.n, f.m, f.t, f.kind, f.count, f.bound_num, f.bound_den, f.category == CATEGORY_EQUALITY_INSTANCE,
+         f.certificate)
+        for f in rows
+    )
     return buf.getvalue()

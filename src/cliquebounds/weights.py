@@ -20,11 +20,11 @@ shortcuts that cannot change a result:
   prunes only what cannot beat it, so it returns the true maximum whenever
   that is larger, and otherwise the bound, which a concrete path attains.
 - Exchange-argument witnesses. Each witness yields more concrete paths and
-  cycles (``_expand``): paths through the chords of a cycle and through the
-  edges leaving it, crossover cycles through two chords (the switch in the
-  proof of Ore's theorem, O. Ore, 1960), rotated paths through an edge from
-  an end (L. Posa, 1976), and the cycle a path closes into. Their bounds are
-  witnessed too, so they only let more searches be skipped.
+  cycles (``_expand``): paths through the chords of a cycle, crossover
+  cycles through two chords (the switch in the proof of Ore's theorem,
+  O. Ore, 1960) and rotated paths through an edge from an end (L. Posa,
+  1976). Their bounds are witnessed too, so they only let more searches be
+  skipped.
 - Ceiling skip. No search runs once the bound equals the ceiling: the
   block's vertex count for c(e), the component's vertex count minus 1 for
   p(e).
@@ -183,7 +183,6 @@ def longest_cycle_through_edge(g: Graph, e: tuple[int, int], cap: int = DEFAULT_
 
 
 Bounds = dict[tuple[int, int], int]
-Witnesses = list[tuple[list[int], bool, bool]]  # (sequence, closed, whether its vertex set is new)
 
 
 def _raise_along(bounds: Bounds, seq: list[int], length: int) -> None:
@@ -220,26 +219,32 @@ def _expand(adj: Sequence[int], p: Bounds, c: Bounds, witness: list[int], closed
     the witnesses the exchange rules derive from it, at most WITNESS_CAP.
 
     Every raised bound is attained by a concrete path or cycle:
-    - A cycle of length L gives c >= L and p >= L - 1 on its edges, p >= L - 1
-      on each chord c_i c_j (the path c_{j-1} ... c_i c_j ... c_{i-1}) and
-      p >= L on each edge x c_i leaving it (the path x c_i c_{i+1} ... c_{i-1}).
+    - A cycle of length L gives c >= L and p >= L - 1 on its edges, and
+      p >= L - 1 on each chord c_i c_j (the path c_{j-1} ... c_i c_j ... c_{i-1}).
     - A chord and a crossing edge give a crossover cycle on the same vertices
       (``_crossover``); it raises c on its two new edges.
     - A path of length k gives p >= k on its edges. An edge from an end to an
       inner vertex gives a rotated path (``_rotation``) that raises p on that
-      edge; adjacent ends close the path into a cycle of length k + 1.
-    A derived witness is expanded in turn only if it raised a bound, so the
-    expansion ends even without the cap.
+      edge.
+    A derived witness differs from its parent only in edges its rule has
+    just raised, so only the root's own edges are raised here. It is expanded
+    in turn only if it raised a bound, so the expansion ends even without the
+    cap.
     """
-    queue: Witnesses = [(witness, closed, True)]
-    for seq, closed, fresh in queue:  # grows while it is walked
-        if closed:
-            _cycle_rules(adj, p, c, seq, fresh, queue)
-        else:
-            _path_rules(adj, p, c, seq, fresh, queue)
+    if closed:
+        ring = witness + witness[:1]
+        _raise_along(c, ring, len(witness))
+        _raise_along(p, ring, len(witness) - 1)
+        rules = _cycle_rules
+    else:
+        _raise_along(p, witness, len(witness) - 1)
+        rules = _path_rules
+    queue = [witness]
+    for seq in queue:  # grows while it is walked
+        rules(adj, p, c, seq, queue)
 
 
-def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], fresh: bool, queue: Witnesses) -> None:
+def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], queue: list[list[int]]) -> None:
     length = len(cycle)
     mask = 0
     for x in cycle:
@@ -248,20 +253,6 @@ def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], fre
     succ = dict(zip(cycle, ring[1:]))
     pred = dict(zip(ring[1:], cycle))
     reverse = cycle[::-1]
-    if fresh:
-        # A crossover cycle has its parent's vertex set, so its own edges,
-        # chords and leaving edges are already raised.
-        _raise_along(c, ring, length)
-        _raise_along(p, ring, length - 1)
-        for x in cycle:
-            out = adj[x] & ~mask
-            while out:
-                low = out & -out
-                out ^= low
-                y = low.bit_length() - 1
-                key = (x, y) if x < y else (y, x)
-                if p[key] < length:
-                    p[key] = length
     for x in cycle:
         sx, px = succ[x], pred[x]
         # each chord once, from its lower end
@@ -270,7 +261,7 @@ def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], fre
             low = chords & -chords
             chords ^= low
             y = low.bit_length() - 1
-            if fresh and p[x, y] < length - 1:
+            if p[x, y] < length - 1:
                 p[x, y] = length - 1
             for order, a, b in ((cycle, sx, succ[y]), (reverse, px, pred[y])):
                 if not adj[a] >> b & 1:
@@ -280,20 +271,11 @@ def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], fre
                     c[x, y] = max(c[x, y], length)
                     c[key] = max(c[key], length)
                     if len(queue) <= WITNESS_CAP:
-                        queue.append((_crossover(order, order.index(x), order.index(y)), True, False))
+                        queue.append(_crossover(order, order.index(x), order.index(y)))
 
 
-def _path_rules(adj: Sequence[int], p: Bounds, c: Bounds, path: list[int], fresh: bool, queue: Witnesses) -> None:
+def _path_rules(adj: Sequence[int], p: Bounds, c: Bounds, path: list[int], queue: list[list[int]]) -> None:
     length = len(path) - 1
-    if fresh:
-        _raise_along(p, path, length)
-    head, tail = path[0], path[-1]
-    if length >= 2 and adj[head] >> tail & 1:
-        key = (head, tail) if head < tail else (tail, head)
-        if c[key] < length + 1:
-            c[key] = length + 1
-            if len(queue) <= WITNESS_CAP:
-                queue.append((path, True, True))
     mask = 0
     for x in path:
         mask |= 1 << x
@@ -308,7 +290,7 @@ def _path_rules(adj: Sequence[int], p: Bounds, c: Bounds, path: list[int], fresh
             if p[key] < length:
                 p[key] = length
                 if len(queue) <= WITNESS_CAP:
-                    queue.append((_rotation(order, order.index(x)), False, False))
+                    queue.append(_rotation(order, order.index(x)))
 
 
 def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:

@@ -190,10 +190,19 @@ class TestSearch:
         assert code == EXIT_USAGE
         assert "external enumerator" in err
 
-    def test_unknown_kind_exits_2(self, capsys):
+    def test_unknown_kind_exits_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "search", "--exhaustive", "3", "--kinds", "bogus")
         assert code == EXIT_USAGE
         assert "unknown bound kind" in err
+        # the all-orders kinds are bound kinds, but no sweep evaluates them, even over no graphs
+        two, empty = tmp_path / "two.g6", tmp_path / "empty.g6"
+        two.write_text("C~\nBw\n")
+        empty.write_text("")
+        for path in (two, empty):
+            code, _, err = run(capsys, "verify", str(path), "--kinds", "wood_total")
+            assert code == EXIT_USAGE
+            assert "unknown bound kind 'wood_total'" in err
+            assert "wood_total" not in err.split("per-order kinds:")[1]
 
 
 @pytest.mark.parametrize("bad_t", ["0", "5:3", "a:b"])

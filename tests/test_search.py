@@ -1,6 +1,8 @@
 """Sweep harness: finding generation, replayability, determinism, sources."""
 
+import csv
 import functools
+import io
 
 import pytest
 
@@ -25,6 +27,7 @@ from cliquebounds.bounds import (
     KIND_LOCAL_EDGE_PATH,
     KIND_LOCAL_VERTEX,
 )
+from cliquebounds.cli import _parse_kinds
 from cliquebounds.graph import GraphError
 from cliquebounds.search import (
     CATEGORY_BOUND_VIOLATION,
@@ -33,6 +36,7 @@ from cliquebounds.search import (
     CATEGORY_EQUALITY_INSTANCE,
     CATEGORY_MIN_SLACK,
     CSV_COLUMNS,
+    evaluate_graph,
     findings_to_jsonl,
     rows_to_csv,
     summary_to_json,
@@ -175,7 +179,7 @@ def test_min_slack_emission():
 
 def test_graph6_file_source(tmp_path):
     path = tmp_path / "graphs.g6"
-    path.write_text("C~\nBw\n\nBg\n")
+    path.write_text(">>graph6<<C~\nBw\n\nBg\n")
     lines = list(GraphSource(kind="graph6_file", path=str(path)).graphs())
     assert lines == ["C~", "Bw", "Bg"]
 
@@ -208,16 +212,27 @@ def test_stop_on_first_flag_does_not_change_clean_runs(small_sweep):
 
 
 def test_rows_csv_columns():
-    source = GraphSource(kind="exhaustive", ns=(3,))
-    config = SearchConfig(
-        t_min=2, t_max=3, kinds=(KIND_LOCAL_VERTEX, KIND_LOCAL_EDGE_PATH), collect_rows=True
-    )
-    result = run_sweep(source, config)
+    kinds = _parse_kinds("all")
+    result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5)),
+                       SearchConfig(t_min=1, t_max=5, kinds=kinds, collect_rows=True))
     text = rows_to_csv(result.rows)
-    header, first = text.splitlines()[:2]
-    assert header.split(",") == CSV_COLUMNS
-    assert len(result.rows) == 4 * 2 * 2  # 4 graphs, 2 orders, 2 kinds
-    assert first.split(",")[0] == write_graph6(parse_graph6(first.split(",")[0]))
+    assert text.splitlines()[0].split(",") == CSV_COLUMNS
+    table = list(csv.DictReader(io.StringIO(text)))
+    rows = {(r["graph6"], int(r["t"]), r["kind"]): r for r in table}
+    assert len(rows) == len(table)
+    expected = {}
+    for line in {key[0] for key in rows}:
+        for order in evaluate_graph(parse_graph6(line), range(1, 6), kinds).orders:
+            for kind, r in order.reports.items():
+                expected[line, order.t, kind] = {
+                    "count": str(r.count), "bound_num": str(r.bound.numerator), "bound_den": str(r.bound.denominator),
+                    "equality": str(r.equality), "certificate": str(r.certificate.holds),
+                }
+    assert len({key[0] for key in rows}) == 1 + 2 + 4 + 11 + 34
+    assert all(line == write_graph6(parse_graph6(line)) for line, _, _ in rows)
+    assert rows.keys() == expected.keys()
+    for key, want in expected.items():
+        assert {k: rows[key][k] for k in want} == want, key
 
 
 def test_finding_round_trips_through_json(small_sweep):
