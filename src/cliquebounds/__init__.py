@@ -20,6 +20,7 @@ from .bounds import (
     local_edge_path_bound,
     local_vertex_bound,
     local_vertex_total_bound,
+    order_bounds,
     wood_bound,
     wood_total_bound,
 )

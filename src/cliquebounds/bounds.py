@@ -46,6 +46,12 @@ DEFAULT_SWEEP_KINDS = (
     KIND_LOCAL_EDGE_CYCLE,
 )
 
+# The kinds evaluated at each order t, in analyze report order; only the
+# first two are defined at t = 1.
+PER_ORDER_KINDS = (
+    KIND_LOCAL_VERTEX, KIND_WOOD, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_CC_PATH, KIND_CC_CYCLE
+)
+
 
 def binom(a: int, b: int) -> int:
     """C(a, b) with C(a, b) = 0 whenever b < 0 or b > a."""
@@ -122,6 +128,30 @@ def local_edge_cycle_bound(g: Graph, weights: WeightMap, t: int) -> Fraction:
     return Fraction(sum(binom(c - 2, t - 2) for c in weights.c.values()), binom(t, 2))
 
 
+def classical_path_r(weights: WeightMap, m: int) -> int:
+    # tightest valid path premise: no path longer than the longest one
+    return max(weights.longest_path + 1, 2) if m > 0 else 2
+
+
+def classical_cycle_r(weights: WeightMap) -> int:
+    return max(weights.circumference, 2)
+
+
+def order_bounds(g: Graph, weights: WeightMap, t: int) -> dict[str, Fraction]:
+    """The bound of every per-order kind defined at t, in ``PER_ORDER_KINDS`` order.
+
+    This is the one place a per-order bound is computed: the reports and the
+    dominance record of (g, t) read this table.
+    """
+    table = {KIND_LOCAL_VERTEX: local_vertex_bound(g, t), KIND_WOOD: wood_bound(g.n, g.max_degree(), t)}
+    if t >= 2:
+        table[KIND_LOCAL_EDGE_PATH] = local_edge_path_bound(g, weights, t)
+        table[KIND_LOCAL_EDGE_CYCLE] = local_edge_cycle_bound(g, weights, t)
+        table[KIND_CC_PATH] = cc_path_bound(g.m, classical_path_r(weights, g.m), t)
+        table[KIND_CC_CYCLE] = cc_cycle_bound(g.m, classical_cycle_r(weights), t)
+    return table
+
+
 @dataclass
 class BoundReport:
     """One bound evaluated against the exact count for a (graph, t, kind) triple."""
@@ -135,19 +165,15 @@ class BoundReport:
     certificate: object | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "kind": self.kind,
             "t": self.t,
             "count": self.count,
             "bound": fraction_json(self.bound),
             "slack": fraction_json(self.slack),
             "equality": self.equality,
+            "certificate": self.certificate.to_json_dict() if self.certificate is not None else None,
         }
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json_dict()
-        else:
-            out["certificate"] = None
-        return out
 
 
 def make_report(kind: str, t: int | None, count: int, bound: Fraction, certificate=None) -> BoundReport:
@@ -186,47 +212,28 @@ class DominanceRecord:
         return self.vertex_ok and self.edge_ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "max_degree": self.max_degree,
-            "local_vertex": fraction_json(self.local_vertex),
-            "wood": fraction_json(self.wood),
-            "vertex_ok": self.vertex_ok,
-            "vertex_slack": fraction_json(self.vertex_slack),
-            "path_r": self.path_r,
-            "local_edge": fraction_json(self.local_edge) if self.local_edge is not None else None,
-            "cc_path": fraction_json(self.cc_path) if self.cc_path is not None else None,
-            "edge_ok": self.edge_ok,
-            "edge_slack": fraction_json(self.edge_slack) if self.edge_slack is not None else None,
-        }
+        return {k: fraction_json(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
 
 
-def compare_local_vs_classical(g: Graph, weights: WeightMap, t: int) -> DominanceRecord:
+def compare_local_vs_classical(g: Graph, weights: WeightMap, t: int, bounds: dict[str, Fraction]) -> DominanceRecord:
     """Check that each localized bound is dominated by its classical ancestor.
 
-    A violation here is an implementation bug, not a graph property: the
-    localized bounds refine the classical ones termwise.
+    ``bounds`` is the ``order_bounds`` table of (g, t); the record compares
+    its entries and computes no bound. The edge pair is compared only when g
+    has an edge, with cc_path at r = longest path + 1. A violation here is an
+    implementation bug, not a graph property: the localized bounds refine
+    the classical ones termwise.
     """
     if t < 2:
         raise ValueError(f"clique order must be >= 2, got {t}")
-    d = g.max_degree()
-    lv = local_vertex_bound(g, t)
-    wd = wood_bound(g.n, d, t)
+    lv, wd = bounds[KIND_LOCAL_VERTEX], bounds[KIND_WOOD]
+    r = le = cc = edge_slack = None
     if g.m > 0:
-        r = weights.longest_path + 1
-        le = local_edge_path_bound(g, weights, t)
-        cc = cc_path_bound(g.m, r, t)
-        edge_ok = le <= cc
+        r, le, cc = classical_path_r(weights, g.m), bounds[KIND_LOCAL_EDGE_PATH], bounds[KIND_CC_PATH]
         edge_slack = cc - le
-    else:
-        r = None
-        le = None
-        cc = None
-        edge_ok = True
-        edge_slack = None
     return DominanceRecord(
         t=t,
-        max_degree=d,
+        max_degree=g.max_degree(),
         local_vertex=lv,
         wood=wd,
         vertex_ok=lv <= wd,
@@ -234,6 +241,6 @@ def compare_local_vs_classical(g: Graph, weights: WeightMap, t: int) -> Dominanc
         path_r=r,
         local_edge=le,
         cc_path=cc,
-        edge_ok=edge_ok,
+        edge_ok=edge_slack is None or edge_slack >= 0,
         edge_slack=edge_slack,
     )

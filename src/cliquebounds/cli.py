@@ -17,14 +17,9 @@ from fractions import Fraction
 from .bounds import (
     BOUND_KINDS,
     DEFAULT_SWEEP_KINDS,
-    KIND_CC_CYCLE,
-    KIND_CC_PATH,
-    KIND_LOCAL_EDGE_CYCLE,
-    KIND_LOCAL_EDGE_PATH,
-    KIND_LOCAL_VERTEX,
     KIND_LOCAL_VERTEX_TOTAL,
-    KIND_WOOD,
     KIND_WOOD_TOTAL,
+    PER_ORDER_KINDS,
     format_fraction,
     local_vertex_total_bound,
     make_report,
@@ -106,12 +101,6 @@ def parse_t_range(raw: str | None) -> tuple[int, int | None]:
 
 def _edge_key(e: tuple[int, int]) -> str:
     return f"{e[0]}-{e[1]}"
-
-
-# The kinds evaluated at each order t, in analyze report order.
-PER_ORDER_KINDS = (
-    KIND_LOCAL_VERTEX, KIND_WOOD, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_CC_PATH, KIND_CC_CYCLE
-)
 
 
 def reports_for_t(order: OrderEvaluation) -> list[dict]:

@@ -16,7 +16,7 @@ import random
 from itertools import permutations, product
 from typing import Iterable, Iterator
 
-from .graph import Graph, GraphError, iter_bits, write_graph6
+from .graph import Graph, GraphError, check_vertex_count, iter_bits, write_graph6
 from .weights import CapExceededError
 
 CANONICAL_CAP = 10
@@ -146,6 +146,7 @@ def enumerate_levels(ns: Iterable[int]) -> Iterator[list[Graph]]:
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), reproducible for a fixed seed."""
+    check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
     rng = random.Random(seed)
@@ -161,6 +162,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 
 def random_regular(n: int, d: int, seed: int, max_tries: int = 10000) -> Graph:
     """Random d-regular graph via the pairing model, retried until simple."""
+    check_vertex_count(n)
     if d < 0 or d >= n:
         raise ValueError(f"degree {d} infeasible for n={n}")
     if (n * d) % 2:

@@ -26,6 +26,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_vertex_count(n: int) -> None:
+    if n < 0 or n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+
+
 def mask_of(vertices: Iterable[int]) -> int:
     m = 0
     for v in vertices:
@@ -39,8 +44,7 @@ class Graph:
     __slots__ = ("n", "adj", "m")
 
     def __init__(self, n: int, adj: Sequence[int]):
-        if n < 0 or n > MAX_VERTICES:
-            raise GraphError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+        check_vertex_count(n)
         if len(adj) != n:
             raise GraphError(f"adjacency has {len(adj)} rows for {n} vertices")
         full = (1 << n) - 1
@@ -108,8 +112,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Duplicate pairs (in either orientation) collapse to a single edge;
     self-loops and out-of-range ids are rejected with the offending position.
     """
-    if n < 0 or n > MAX_VERTICES:
-        raise GraphError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+    check_vertex_count(n)
     rows = [0] * n
     for pos, (u, v) in enumerate(edges):
         if not (0 <= u < n) or not (0 <= v < n):

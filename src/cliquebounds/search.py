@@ -2,17 +2,19 @@
 
 ``evaluate_graph`` is the one place where a graph's counts, bounds,
 certificates and verdicts are derived: per requested order t it takes the
-K_t count from one clique census, builds each kind's bound and certificate
-through ``evaluate_kind``, then the cross-validation, the cycle-conjecture
-verdict and the dominance record from those. ``analyze`` renders that
-result, ``sweep_worker`` builds each finding from it once, and
-``replay_finding`` re-evaluates a witness through ``sweep_worker`` and
-looks for the finding among the ones it builds.
+K_t count from one clique census and every bound from one
+``bounds.order_bounds`` table, pairs each requested kind's bound with its
+certificate through ``evaluate_kind``, then derives the cross-validation
+and the cycle-conjecture verdict from those reports and the dominance
+record from the table. ``analyze`` renders that result, ``sweep_worker``
+builds each finding from it once, and ``replay_finding`` re-evaluates a
+witness through ``sweep_worker`` and looks for the finding among the ones
+it builds.
 
-Workers see one graph at a time (as its graph6 line, which doubles as the
-witness string) and return its findings; the consumer merges them in stream
-order, so the output is identical for any parallelism width. Every finding
-can be replayed from its witness alone.
+Workers see one graph at a time (parsed once by the source, with its graph6
+line, which doubles as the witness string) and return its findings; the
+consumer merges them in stream order, so the output is identical for any
+parallelism width. Every finding can be replayed from its witness alone.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import io
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from typing import Iterable, Iterator
 
@@ -33,16 +36,14 @@ from .bounds import (
     KIND_LOCAL_EDGE_PATH,
     KIND_LOCAL_VERTEX,
     KIND_WOOD,
+    PER_ORDER_KINDS,
     BoundReport,
     DominanceRecord,
-    cc_cycle_bound,
-    cc_path_bound,
+    classical_cycle_r,
+    classical_path_r,
     compare_local_vs_classical,
-    local_edge_cycle_bound,
-    local_edge_path_bound,
-    local_vertex_bound,
     make_report,
-    wood_bound,
+    order_bounds,
 )
 from .certificates import (
     VERDICT_DISCREPANCY,
@@ -86,6 +87,12 @@ class SearchConfig:
     emit_min_slack: bool = False
     collect_rows: bool = False
 
+    def __post_init__(self) -> None:
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        if self.equality_cap < 0:
+            raise ValueError(f"equality cap must be >= 0, got {self.equality_cap}")
+
 
 @dataclass(frozen=True)
 class GraphSource:
@@ -110,13 +117,13 @@ class GraphSource:
             return False
         return True
 
-    def graphs(self) -> Iterator[str]:
-        """Yield graph6 lines, already validated and filtered."""
+    def graphs(self) -> Iterator[tuple[str, Graph]]:
+        """Yield (graph6, graph) pairs, already validated and filtered."""
         if self.kind == "exhaustive":
             for level in enumerate_levels(self.ns):
                 for g in level:
                     if self._accept(g):
-                        yield write_graph6(g)
+                        yield write_graph6(g), g
         elif self.kind == "graph6_file":
             assert self.path is not None
             with open(self.path, "r", encoding="ascii") as fh:
@@ -127,11 +134,11 @@ class GraphSource:
             for i in range(self.count):
                 g = random_graph(self.model, self.n, self.params, self.seed + i)
                 if self._accept(g):
-                    yield write_graph6(g)
+                    yield write_graph6(g), g
         else:
             raise ValueError(f"unknown graph source kind {self.kind!r}")
 
-    def _parse_lines(self, lines) -> Iterator[str]:
+    def _parse_lines(self, lines) -> Iterator[tuple[str, Graph]]:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
@@ -141,7 +148,7 @@ class GraphSource:
             except GraphError as exc:
                 raise GraphError(f"line {lineno}: {exc}") from None
             if self._accept(g):
-                yield line.removeprefix(">>graph6<<")
+                yield line.removeprefix(">>graph6<<"), g
 
 
 @dataclass(frozen=True)
@@ -168,15 +175,6 @@ class Finding:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Finding":
         return cls(**{k: d[k] for k in cls.__dataclass_fields__})
-
-
-def classical_path_r(weights: WeightMap, m: int) -> int:
-    # tightest valid path premise: no path longer than the longest one
-    return max(weights.longest_path + 1, 2) if m > 0 else 2
-
-
-def classical_cycle_r(weights: WeightMap) -> int:
-    return max(weights.circumference, 2)
 
 
 def order_range(g: Graph, t_min: int, t_max: int | None) -> range:
@@ -213,27 +211,20 @@ def classical_certificates(
 
 
 def evaluate_kind(
-    g: Graph, weights: WeightMap, count: int, t: int, kind: str, classical: dict[str, EqualityCertificate]
-) -> BoundReport | None:
-    """One per-order kind's bound and certificate against the count, or None
-    if t is outside the kind's domain. ``classical`` holds the t-free
-    certificates from ``classical_certificates``."""
-    if t < 2 and kind not in (KIND_LOCAL_VERTEX, KIND_WOOD):
-        return None
+    g: Graph, weights: WeightMap, count: int, t: int, kind: str, bound: Fraction,
+    classical: dict[str, EqualityCertificate],
+) -> BoundReport:
+    """One per-order kind's report: its bound, taken from the ``order_bounds``
+    table of (g, t), against the count, with the kind's certificate.
+    ``classical`` holds the t-free certificates from ``classical_certificates``."""
     if kind == KIND_LOCAL_VERTEX:
-        bound, cert = local_vertex_bound(g, t), vertex_equality_certificate(g, t)
-    elif kind == KIND_WOOD:
-        bound, cert = wood_bound(g.n, g.max_degree(), t), classical[kind]
+        cert = vertex_equality_certificate(g, t)
     elif kind == KIND_LOCAL_EDGE_PATH:
-        bound, cert = local_edge_path_bound(g, weights, t), edge_equality_certificate(g, weights, t)
+        cert = edge_equality_certificate(g, weights, t)
     elif kind == KIND_LOCAL_EDGE_CYCLE:
-        bound, cert = local_edge_cycle_bound(g, weights, t), cycle_equality_certificate(g, weights, t)
-    elif kind == KIND_CC_PATH:
-        bound, cert = cc_path_bound(g.m, classical_path_r(weights, g.m), t), classical[kind]
-    elif kind == KIND_CC_CYCLE:
-        bound, cert = cc_cycle_bound(g.m, classical_cycle_r(weights), t), classical[kind]
+        cert = cycle_equality_certificate(g, weights, t)
     else:
-        raise ValueError(f"unknown per-order bound kind {kind!r}")
+        cert = classical[kind]
     return make_report(kind, t, count, bound, cert)
 
 
@@ -265,19 +256,19 @@ def evaluate_graph(
     it is checked only where local_vertex is among ``kinds``. ``graph6``, if
     given, is g's graph6; the certificates that check g itself reuse it.
     """
+    unknown = [kind for kind in kinds if kind not in PER_ORDER_KINDS]
+    if unknown:
+        raise ValueError(f"unknown per-order bound kind {unknown[0]!r}")
     weights = all_weights(g, weight_cap)
     census = clique_census(g)
     classical = classical_certificates(g, weights, kinds, graph6)
     orders = []
     for t in ts:
-        if t < 1:
-            raise ValueError(f"clique order must be >= 1, got {t}")
         count = census.get(t, 0)
-        reports = {}
-        for kind in kinds:
-            report = evaluate_kind(g, weights, count, t, kind, classical)
-            if report is not None:
-                reports[kind] = report
+        bounds = order_bounds(g, weights, t)
+        reports = {
+            kind: evaluate_kind(g, weights, count, t, kind, bounds[kind], classical) for kind in kinds if kind in bounds
+        }
         vertex = reports.get(KIND_LOCAL_VERTEX)
         cycle = reports.get(KIND_LOCAL_EDGE_CYCLE)
         orders.append(
@@ -287,19 +278,19 @@ def evaluate_graph(
                 reports,
                 cross_validate(g, vertex, reports.get(KIND_LOCAL_EDGE_PATH)) if vertex is not None else None,
                 conjecture_verdict(cycle) if cycle is not None else None,
-                compare_local_vs_classical(g, weights, t) if t >= 2 else None,
+                compare_local_vs_classical(g, weights, t, bounds) if t >= 2 else None,
             )
         )
     return GraphEvaluation(weights, census, orders)
 
 
-def sweep_worker(line: str, config: SearchConfig) -> dict:
-    """Analyze one graph6 line; returns a record of its findings in stream
-    order, before any cap: the evaluations t-major in ``config.kinds``
-    order, then the characterization discrepancies, then the dominance
-    violations. An evaluation is a violation, an EQUALITY_INSTANCE or a
-    MIN_SLACK candidate by the sign of its report's slack."""
-    g = parse_graph6(line)
+def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
+    """Analyze one (graph6, graph) pair of a source; returns a record of its
+    findings in stream order, before any cap: the evaluations t-major in
+    ``config.kinds`` order, then the characterization discrepancies, then the
+    dominance violations. An evaluation is a violation, an EQUALITY_INSTANCE
+    or a MIN_SLACK candidate by the sign of its report's slack."""
+    line, g = item
     record: dict = {"graph6": line, "n": g.n, "m": g.m, "error": None, "findings": []}
     kinds = config.kinds
     if KIND_LOCAL_EDGE_PATH in kinds and KIND_LOCAL_VERTEX not in kinds:
@@ -418,16 +409,16 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
                 stop = stop or config.stop_on_first
         return stop
 
-    lines = source.graphs()
+    items = source.graphs()
     if config.parallelism > 1:
         worker = partial(sweep_worker, config=config)
         with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            for record in pool.map(worker, lines, chunksize=16):
+            for record in pool.map(worker, items, chunksize=16):
                 if consume(record):
                     break
     else:
-        for line in lines:
-            if consume(sweep_worker(line, config)):
+        for item in items:
+            if consume(sweep_worker(item, config)):
                 break
 
     if config.emit_min_slack:
@@ -457,7 +448,7 @@ def replay_finding(finding: Finding, weight_cap: int = DEFAULT_EXACT_CAP) -> boo
     kinds = () if finding.kind in DOMINANCE_KINDS else (finding.kind,)
     config = SearchConfig(t_min=finding.t, t_max=finding.t, kinds=kinds, weight_cap=weight_cap)
     try:
-        record = sweep_worker(finding.graph6, config)
+        record = sweep_worker((finding.graph6, parse_graph6(finding.graph6)), config)
     except ValueError:  # a malformed witness, order or kind
         return False
     return finding in record["findings"]

@@ -23,6 +23,7 @@ from cliquebounds import (
     equals_count,
     from_edge_list,
     local_vertex_total_bound,
+    order_bounds,
     parse_graph6,
     replay_finding,
     run_sweep,
@@ -130,7 +131,7 @@ def test_criterion_4_dominance_and_classical_characterizations(analyzed):
     for g, census, weights in analyzed:
         d = g.max_degree()
         for t in range(2, T_MAX + 1):
-            rec = compare_local_vs_classical(g, weights, t)
+            rec = compare_local_vs_classical(g, weights, t, order_bounds(g, weights, t))
             if not rec.ok:
                 dominance_failures += 1
             count = census[t] if t <= g.n else 0

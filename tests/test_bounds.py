@@ -18,6 +18,7 @@ from cliquebounds import (
     local_edge_path_bound,
     local_vertex_bound,
     local_vertex_total_bound,
+    order_bounds,
     wood_bound,
     wood_total_bound,
 )
@@ -37,6 +38,12 @@ def cycle(n):
 
 
 PAW = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+
+
+def dominance(g, t, w=None):
+    """The dominance record of (g, t), read from its bound table."""
+    w = all_weights(g) if w is None else w
+    return compare_local_vs_classical(g, w, t, order_bounds(g, w, t))
 
 
 def test_binom_vanishes_outside_range():
@@ -153,17 +160,17 @@ class TestSoundness:
 class TestDominance:
     def test_regular_graph_pair_is_tight(self):
         c5 = cycle(5)
-        rec = compare_local_vs_classical(c5, all_weights(c5), 3)
+        rec = dominance(c5, 3)
         assert rec.local_vertex == rec.wood == Fraction(5, 3)
 
     def test_paw_strictly_below_wood(self):
-        rec = compare_local_vs_classical(PAW, all_weights(PAW), 3)
+        rec = dominance(PAW, 3)
         assert rec.local_vertex == Fraction(5, 3)
         assert rec.wood == 4
         assert rec.ok
 
     def test_k4_equal_on_both_pairs(self):
-        rec = compare_local_vs_classical(K(4), all_weights(K(4)), 3)
+        rec = dominance(K(4), 3)
         assert rec.local_vertex == rec.wood == 4
         assert rec.local_edge == rec.cc_path == 4
 
@@ -171,12 +178,28 @@ class TestDominance:
         for g in corpus6:
             w = all_weights(g)
             for t in range(2, g.n + 1):
-                rec = compare_local_vs_classical(g, w, t)
+                rec = dominance(g, t, w)
                 assert rec.ok, (g, t)
+
+    def test_record_fields_are_the_bound_formulas(self, corpus6):
+        for g in corpus6:
+            w = all_weights(g)
+            for t in range(2, g.n + 1):
+                rec = dominance(g, t, w)
+                assert rec.local_vertex == local_vertex_bound(g, t), (g, t)
+                assert rec.wood == wood_bound(g.n, g.max_degree(), t), (g, t)
+                assert rec.vertex_slack == rec.wood - rec.local_vertex
+                if g.m == 0:
+                    assert rec.path_r is rec.local_edge is rec.cc_path is rec.edge_slack is None
+                    continue
+                assert rec.path_r == w.longest_path + 1
+                assert rec.local_edge == local_edge_path_bound(g, w, t), (g, t)
+                assert rec.cc_path == cc_path_bound(g.m, w.longest_path + 1, t), (g, t)
+                assert rec.edge_slack == rec.cc_path - rec.local_edge
 
     def test_edgeless_graph_skips_edge_pair(self):
         g = from_edge_list(3, [])
-        rec = compare_local_vs_classical(g, all_weights(g), 2)
+        rec = dominance(g, 2)
         assert rec.edge_ok and rec.cc_path is None
 
 

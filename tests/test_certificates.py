@@ -19,7 +19,7 @@ from cliquebounds import (
     x_set,
     z_set,
 )
-from cliquebounds.bounds import KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, binom, local_edge_path_bound
+from cliquebounds.bounds import KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, binom, local_edge_path_bound, order_bounds
 from cliquebounds.certificates import (
     VERDICT_BOTH_FAIL,
     VERDICT_BOTH_HOLD,
@@ -209,8 +209,9 @@ def cross_validate_at(g, t):
     """cross_validate on the vertex and edge-path reports, with an independent count."""
     w = all_weights(g)
     count = count_cliques(g, t).total
-    vertex = evaluate_kind(g, w, count, t, KIND_LOCAL_VERTEX, {})
-    edge = evaluate_kind(g, w, count, t, KIND_LOCAL_EDGE_PATH, {})
+    bounds = order_bounds(g, w, t)
+    vertex = evaluate_kind(g, w, count, t, KIND_LOCAL_VERTEX, bounds[KIND_LOCAL_VERTEX], {})
+    edge = evaluate_kind(g, w, count, t, KIND_LOCAL_EDGE_PATH, bounds[KIND_LOCAL_EDGE_PATH], {})
     return cross_validate(g, vertex, edge)
 
 

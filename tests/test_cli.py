@@ -185,6 +185,33 @@ class TestSearch:
         assert code == EXIT_OK
         assert json.loads(out)["summary"]["graphs"] == 10
 
+    @pytest.mark.parametrize("model", ["gnp", "regular"])
+    @pytest.mark.parametrize("n", ["-1", "65"])
+    def test_random_vertex_count_out_of_range_exits_2(self, capsys, model, n):
+        code, _, err = run(capsys, "search", "--random", model, "--n", n, "--count", "1")
+        assert code == EXIT_USAGE
+        assert f"vertex count {n} outside supported range" in err
+
+    @pytest.mark.parametrize("flag, value, code", [
+        ("--equality-cap", "-1", EXIT_USAGE),
+        ("--equality-cap", "0", EXIT_OK),
+        ("--parallelism", "-1", EXIT_USAGE),
+        ("--parallelism", "0", EXIT_USAGE),
+    ])
+    def test_sweep_number_minimums(self, capsys, monkeypatch, flag, value, code):
+        import cliquebounds.search as search
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        got, out, err = run(capsys, "search", "--exhaustive", "4", "--t", "3", flag, value, "--format", "json")
+        assert got == code
+        if code == EXIT_USAGE:
+            assert f"got {value}" in err
+        else:  # a cap of 0 keeps every equality instance out of the findings
+            assert all(f["category"] != "EQUALITY_INSTANCE" for f in json.loads(out)["findings"])
+
     def test_exhaustive_order_over_the_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "search", "--exhaustive", "3,9")
         assert code == EXIT_USAGE

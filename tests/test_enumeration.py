@@ -151,6 +151,13 @@ class TestRandomModels:
         with pytest.raises(ValueError, match="infeasible"):
             random_regular(4, 4, 0)
 
+    @pytest.mark.parametrize("n", [-2, -1, 65])
+    def test_vertex_count_out_of_range(self, n):
+        with pytest.raises(GraphError, match=f"vertex count {n} outside"):
+            random_gnp(n, 0.5, 1)
+        with pytest.raises(GraphError, match=f"vertex count {n} outside"):
+            random_regular(n, 2, 1)
+
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             random_gnp(4, 1.5, 0)

@@ -1,0 +1,44 @@
+"""Golden outputs: the full bytes of a sweep's files and of analyze's JSON.
+
+The hashes pin every field the CLI writes, including the dominance and
+cross-validation sections, certificate evidence, finding slack and detail,
+and the summary's ``by_nt`` and ``min_positive_slack``. A change to any of
+them must be deliberate: re-record the hashes and say why.
+"""
+
+import hashlib
+
+from cliquebounds import enumerate_levels, write_graph6
+from cliquebounds.cli import EXIT_OK, main
+
+SEARCH_SHA256 = {
+    "findings": "9fabb15e864afc769d6a80d1681ff86dc3dc0cf0567968c92ff01a0c9b7a6229",
+    "summary": "581b60d2f826da79cdeeae5a6214d710f8cff714ea2c0a71470458b2b51d100b",
+    "csv": "23426c6be50f5efd0718dba12d93c3d8c9f8b4c277db4717d20b5f46936392e3",
+}
+ANALYZE_SHA256 = "6aada39d65dd09a75d57d0a25941f66e08fe366d1b4df4b13fa022ed02c9f54f"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_search_outputs_are_byte_identical(tmp_path, capsys):
+    paths = {name: tmp_path / name for name in SEARCH_SHA256}
+    code = main([
+        "search", "--exhaustive", "1,2,3,4,5,6", "--t", "1:6", "--kinds", "all", "--min-slack",
+        "--findings", str(paths["findings"]), "--summary", str(paths["summary"]), "--csv", str(paths["csv"]),
+    ])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    assert {name: sha256(path.read_bytes()) for name, path in paths.items()} == SEARCH_SHA256
+
+
+def test_analyze_json_is_byte_identical(capsys):
+    lines = [write_graph6(g) for level in enumerate_levels(range(1, 6)) for g in level]
+    assert "C~" in lines and "D~{" in lines
+    out = []
+    for line in lines:
+        assert main(["analyze", line, "--format", "json", "--t", "1:6"]) == EXIT_OK
+        out.append(capsys.readouterr().out)
+    assert sha256("".join(out).encode("utf-8")) == ANALYZE_SHA256

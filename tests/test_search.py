@@ -76,6 +76,14 @@ def test_replay_rejects_tampered_witness(small_sweep):
 
     assert not replay_finding(replace(finding, count=finding.count + 1))
     assert not replay_finding(replace(finding, graph6="garbage"))
+    assert not replay_finding(replace(finding, kind="bogus"))
+
+
+def test_unknown_kind_is_rejected_not_skipped():
+    with pytest.raises(ValueError, match="unknown per-order bound kind 'bogus'"):
+        evaluate_graph(parse_graph6("C~"), [3], ("bogus",))
+    with pytest.raises(ValueError, match="'bogus'"):
+        evaluate_graph(parse_graph6("C~"), [1], ("local_vertex", "bogus"))
 
 
 @pytest.fixture(scope="module")
@@ -180,8 +188,9 @@ def test_min_slack_emission():
 def test_graph6_file_source(tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text(">>graph6<<C~\nBw\n\nBg\n")
-    lines = list(GraphSource(kind="graph6_file", path=str(path)).graphs())
-    assert lines == ["C~", "Bw", "Bg"]
+    pairs = list(GraphSource(kind="graph6_file", path=str(path)).graphs())
+    assert [line for line, _ in pairs] == ["C~", "Bw", "Bg"]
+    assert all(g == parse_graph6(line) for line, g in pairs)
 
 
 def test_source_parse_error_names_line(tmp_path):
@@ -193,10 +202,11 @@ def test_source_parse_error_names_line(tmp_path):
 
 def test_source_filters():
     source = GraphSource(kind="exhaustive", ns=(4,), connected_only=True)
-    lines = list(source.graphs())
-    assert len(lines) == 6  # connected graphs on 4 vertices
+    pairs = list(source.graphs())
+    assert len(pairs) == 6  # connected graphs on 4 vertices
+    assert all(line == write_graph6(g) for line, g in pairs)
     capped = GraphSource(kind="exhaustive", ns=(4,), max_edges=3)
-    assert all(parse_graph6(line).m <= 3 for line in capped.graphs())
+    assert all(g.m <= 3 for _, g in capped.graphs())
 
 
 def test_random_source_reproducible():
@@ -256,7 +266,9 @@ def test_dominance_violation_is_reported_and_replays(monkeypatch):
     import cliquebounds.search as search
 
     real = search.compare_local_vs_classical
-    monkeypatch.setattr(search, "compare_local_vs_classical", lambda g, w, t: replace(real(g, w, t), vertex_ok=False))
+    monkeypatch.setattr(
+        search, "compare_local_vs_classical", lambda g, w, t, bounds: replace(real(g, w, t, bounds), vertex_ok=False)
+    )
     result = run_sweep(GraphSource(kind="graph6_lines", lines=("C~",)), SearchConfig(t_min=3, t_max=3))
     dom = [f for f in result.findings if f.kind == "dominance_vertex"]
     assert len(dom) == 1 and dom[0].category == CATEGORY_BOUND_VIOLATION
