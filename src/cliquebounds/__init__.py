@@ -27,6 +27,8 @@ from .bounds import (
 from .certificates import (
     CrossValidation,
     EqualityCertificate,
+    OrderCertificates,
+    core_numbers,
     cross_validate,
     cycle_equality_certificate,
     edge_equality_certificate,

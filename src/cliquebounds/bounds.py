@@ -11,8 +11,10 @@ sums.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .graph import Graph
 from .weights import WeightMap
@@ -137,19 +139,37 @@ def classical_cycle_r(weights: WeightMap) -> int:
     return max(weights.circumference, 2)
 
 
-def order_bounds(g: Graph, weights: WeightMap, t: int) -> dict[str, Fraction]:
-    """The bound of every per-order kind defined at t, in ``PER_ORDER_KINDS`` order.
+def _binom_sum(histogram: dict[int, int], shift: int, b: int) -> int:
+    """sum over the histogram's values x, with multiplicity, of C(x + shift, b)."""
+    return sum(k * binom(x + shift, b) for x, k in histogram.items())
+
+
+def order_bounds(g: Graph, weights: WeightMap, ts: Iterable[int]) -> dict[int, dict[str, Fraction]]:
+    """The bound table of every order t in ``ts``: the bound of every
+    per-order kind defined at t, in ``PER_ORDER_KINDS`` order.
 
     This is the one place a per-order bound is computed: the reports and the
-    dominance record of (g, t) read this table.
+    dominance record of (g, t) read this table. Each local bound is a sum of
+    binomials over the degrees, p(e) or c(e) (``local_vertex_bound`` and its
+    siblings, the per-t oracle); here it runs over a histogram of the
+    distinct values, built once for all orders.
     """
-    table = {KIND_LOCAL_VERTEX: local_vertex_bound(g, t), KIND_WOOD: wood_bound(g.n, g.max_degree(), t)}
-    if t >= 2:
-        table[KIND_LOCAL_EDGE_PATH] = local_edge_path_bound(g, weights, t)
-        table[KIND_LOCAL_EDGE_CYCLE] = local_edge_cycle_bound(g, weights, t)
-        table[KIND_CC_PATH] = cc_path_bound(g.m, classical_path_r(weights, g.m), t)
-        table[KIND_CC_CYCLE] = cc_cycle_bound(g.m, classical_cycle_r(weights), t)
-    return table
+    degrees, p, c = Counter(g.degrees()), Counter(weights.p.values()), Counter(weights.c.values())
+    d = g.max_degree()
+    path_r, cycle_r = classical_path_r(weights, g.m), classical_cycle_r(weights)
+    tables = {}
+    for t in ts:
+        if t < 1:
+            raise ValueError(f"clique order must be >= 1, got {t}")
+        table = {KIND_LOCAL_VERTEX: Fraction(_binom_sum(degrees, 0, t - 1), t), KIND_WOOD: wood_bound(g.n, d, t)}
+        if t >= 2:
+            pairs = binom(t, 2)
+            table[KIND_LOCAL_EDGE_PATH] = Fraction(_binom_sum(p, -1, t - 2), pairs)
+            table[KIND_LOCAL_EDGE_CYCLE] = Fraction(_binom_sum(c, -2, t - 2), pairs)
+            table[KIND_CC_PATH] = cc_path_bound(g.m, path_r, t)
+            table[KIND_CC_CYCLE] = cc_cycle_bound(g.m, cycle_r, t)
+        tables[t] = table
+    return tables
 
 
 @dataclass

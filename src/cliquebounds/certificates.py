@@ -15,22 +15,32 @@ discrepancy between the two is a first-class outcome, not an error. Each
 certificate keeps the graph it was checked on and encodes it as graph6 only
 when rendered.
 
+Each certificate depends on t only through its reduced graph, and the
+reduced graphs of one graph are nested in t. ``OrderCertificates`` computes
+each reduced graph's key from t-free tables (the degrees, the core numbers
+of one core decomposition, the sorted p(e) and c(e)) and runs a builder
+(``vertex_equality_certificate`` and its three siblings, which stay the
+per-t oracle) only on an unseen key.
+
 ``cross_validate`` and ``conjecture_verdict`` compare the equality flag and
 the certificate of reports that were already evaluated (see
-``search.evaluate_graph``); they count nothing and rebuild no certificate.
-For the vertex side the threshold deletion is iterated to its fixed point
-(the (t-1)-core) before the equality/certificate pair is compared: one
-deletion round can drop surviving degrees below the threshold again, and the
-characterization is only meaningful once the graph is stable under the
-reduction. Both the reduced and the unreduced comparisons are reported. The
-core needs no recount: every K_t lies inside the (t-1)-core, because each of
-its vertices has t-1 neighbours in it, so the core's K_t count is g's.
+``search.evaluate_graph``); they count nothing and build no certificate:
+the caller passes the vertex-core certificate in. For the vertex side the
+threshold deletion is iterated to its fixed point (the (t-1)-core) before
+the equality/certificate pair is compared: one deletion round can drop
+surviving degrees below the threshold again, and the characterization is
+only meaningful once the graph is stable under the reduction. Both the
+reduced and the unreduced comparisons are reported. The core needs no
+recount: every K_t lies inside the (t-1)-core, because each of its vertices
+has t-1 neighbours in it, so the core's K_t count is g's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .bounds import BoundReport, equals_count, local_vertex_bound
 from .graph import Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits, write_graph6
@@ -75,7 +85,10 @@ def x_set(g: Graph, t: int) -> int:
 
 
 def x_core(g: Graph, t: int) -> int:
-    """Fixed point of the degree-threshold deletion: the (t-1)-core, as a bitmask."""
+    """Fixed point of the degree-threshold deletion: the (t-1)-core, as a bitmask.
+
+    The per-t oracle of ``core_numbers``: x_core(g, t) is {v : core(v) >= t - 1}.
+    """
     surviving = g.vertex_mask()
     while True:
         dropped = 0
@@ -85,6 +98,26 @@ def x_core(g: Graph, t: int) -> int:
         if not dropped:
             return surviving
         surviving &= ~dropped
+
+
+def core_numbers(g: Graph) -> list[int]:
+    """The core number of every vertex: the largest k whose k-core holds it.
+
+    One peeling pass (Batagelj and Zaversnik, "An O(m) algorithm for cores
+    decomposition of networks", 2003): remove a vertex of least remaining
+    degree at a time; its core number is the largest such degree seen so far.
+    With at most 64 vertices a scan for the least degree replaces their
+    bucket queue.
+    """
+    core = [0] * g.n
+    alive = g.vertex_mask()
+    k = 0
+    while alive:
+        d, v = min(((g.adj[v] & alive).bit_count(), v) for v in iter_bits(alive))
+        k = max(k, d)
+        core[v] = k
+        alive &= ~(1 << v)
+    return core
 
 
 def z_set(g: Graph, weights: WeightMap, t: int) -> list[tuple[int, int]]:
@@ -99,6 +132,18 @@ def w_set(g: Graph, weights: WeightMap, t: int) -> list[tuple[int, int]]:
     if t < 2:
         raise ValueError(f"clique order must be >= 2, got {t}")
     return [e for e, c in weights.c.items() if c < t]
+
+
+_DESCRIPTIONS = {
+    "vertex": "components of induced subgraph on degree >= {d} vertices",
+    "vertex-core": "components of the {d}-core",
+    "edge": "components after deleting edges with p(e)+1 < {t}",
+    "cycle": "block structure after deleting edges with c(e) < {t}",
+}
+
+
+def _describe(kind: str, t: int) -> str:
+    return _DESCRIPTIONS[kind].format(d=t - 1, t=t)
 
 
 def _clique_components_certificate(
@@ -123,42 +168,89 @@ def vertex_equality_certificate(g: Graph, t: int) -> EqualityCertificate:
     """Every component of the graph induced on the degree-threshold set is a clique."""
     keep = x_set(g, t)
     reduced, id_map = induced_subgraph(g, keep)
-    return _clique_components_certificate(
-        reduced, id_map, "vertex", f"components of induced subgraph on degree >= {t - 1} vertices"
-    )
+    return _clique_components_certificate(reduced, id_map, "vertex", _describe("vertex", t))
 
 
 def vertex_core_certificate(g: Graph, t: int) -> EqualityCertificate:
     """Same check on the (t-1)-core, where the reduction is stable."""
     keep = x_core(g, t)
     reduced, id_map = induced_subgraph(g, keep)
-    return _clique_components_certificate(
-        reduced, id_map, "vertex-core", f"components of the {t - 1}-core"
-    )
+    return _clique_components_certificate(reduced, id_map, "vertex-core", _describe("vertex-core", t))
 
 
 def edge_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
     """Every component after deleting short-path edges is a clique (vertices kept)."""
     stripped = delete_edges(g, z_set(g, weights, t))
-    return _clique_components_certificate(
-        stripped, None, "edge", f"components after deleting edges with p(e)+1 < {t}"
-    )
+    return _clique_components_certificate(stripped, None, "edge", _describe("edge", t))
 
 
 def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
-    """The graph minus short-cycle edges is a block forest."""
-    stripped = delete_edges(g, w_set(g, weights, t))
+    """The graph minus short-cycle edges is a block forest.
+
+    When no edge is that short the stripped graph equals g, whose blocks
+    ``weights`` already holds.
+    """
+    short = w_set(g, weights, t)
+    stripped = delete_edges(g, short)
+    decomp = block_decomposition(stripped) if short else weights.blocks
     evidence = None
     holds = True
-    decomp = block_decomposition(stripped)
     for mask in block_vertex_sets(decomp):
         if not is_clique(stripped, mask):
             holds = False
             evidence = mask
             break
-    return EqualityCertificate(
-        "cycle", holds, evidence, stripped, f"block structure after deleting edges with c(e) < {t}"
-    )
+    return EqualityCertificate("cycle", holds, evidence, stripped, _describe("cycle", t))
+
+
+_MIN_ORDER = {"vertex": 1, "vertex-core": 1, "edge": 2, "cycle": 2}
+
+
+class OrderCertificates:
+    """The four per-order certificates of one graph, each built once per reduced graph.
+
+    A reduced graph drops the vertices or edges whose value in a t-free
+    table is below a threshold: x_set(g, t) keeps degree >= t - 1, x_core(g, t)
+    core number >= t - 1, z_set strips p(e) < t - 1 and w_set c(e) < t. So the
+    dropped sets are nested in t, and the number of dropped items, one
+    bisection of the sorted table, identifies the reduced graph. A builder
+    runs only on an unseen key; an order whose key was seen gets that
+    certificate with its own description.
+    """
+
+    def __init__(self, g: Graph, weights: WeightMap) -> None:
+        self.g = g
+        self.weights = weights
+        self._degrees = sorted(g.degrees())
+        self._cores = sorted(core_numbers(g))
+        self._p = sorted(weights.p.values())
+        self._c = sorted(weights.c.values())
+        self._built: dict[tuple[str, int], EqualityCertificate] = {}
+
+    def _get(self, kind: str, key: int, t: int, build: Callable[[], EqualityCertificate]) -> EqualityCertificate:
+        if t < _MIN_ORDER[kind]:
+            raise ValueError(f"clique order must be >= {_MIN_ORDER[kind]}, got {t}")
+        seen = self._built.get((kind, key))
+        if seen is None:
+            cert = self._built[kind, key] = build()
+            return cert
+        return EqualityCertificate(kind, seen.holds, seen.evidence, seen.reduced, _describe(kind, t))
+
+    def vertex(self, t: int) -> EqualityCertificate:
+        key = bisect_left(self._degrees, t - 1)
+        return self._get("vertex", key, t, lambda: vertex_equality_certificate(self.g, t))
+
+    def vertex_core(self, t: int) -> EqualityCertificate:
+        key = bisect_left(self._cores, t - 1)
+        return self._get("vertex-core", key, t, lambda: vertex_core_certificate(self.g, t))
+
+    def edge(self, t: int) -> EqualityCertificate:
+        key = bisect_left(self._p, t - 1)
+        return self._get("edge", key, t, lambda: edge_equality_certificate(self.g, self.weights, t))
+
+    def cycle(self, t: int) -> EqualityCertificate:
+        key = bisect_left(self._c, t)
+        return self._get("cycle", key, t, lambda: cycle_equality_certificate(self.g, self.weights, t))
 
 
 def _verdict(equality: bool, certificate: bool) -> str:
@@ -210,14 +302,16 @@ class CrossValidation:
         }
 
 
-def cross_validate(g: Graph, vertex: BoundReport, edge: BoundReport | None = None) -> CrossValidation:
+def cross_validate(
+    vertex: BoundReport, core_cert: EqualityCertificate, edge: BoundReport | None = None
+) -> CrossValidation:
     """Test the equality characterizations on one graph at one clique order.
 
     ``vertex`` and ``edge`` are the local_vertex and local_edge_path reports
-    already evaluated at that order; the edge pair is exempt without one.
+    already evaluated at that order, ``core_cert`` the graph's vertex-core
+    certificate there; the edge pair is exempt without an edge report.
     """
     t = vertex.t
-    core_cert = vertex_core_certificate(g, t)
     core_bound = local_vertex_bound(core_cert.reduced, t)
     core_equality = equals_count(vertex.count, core_bound)
     vertex_verdict = _verdict(core_equality, core_cert.holds) if t >= 2 else VERDICT_EXEMPT

@@ -1,12 +1,14 @@
 """Per-graph evaluation and the sweep harness: stream graphs, emit findings.
 
 ``evaluate_graph`` is the one place where a graph's counts, bounds,
-certificates and verdicts are derived: per requested order t it takes the
-K_t count from one clique census and every bound from one
-``bounds.order_bounds`` table, pairs each requested kind's bound with its
-certificate through ``evaluate_kind``, then derives the cross-validation
-and the cycle-conjecture verdict from those reports and the dominance
-record from the table. ``analyze`` renders that result, ``sweep_worker``
+certificates and verdicts are derived. Its t-free work is done once per
+graph: one clique census gives every K_t count, ``bounds.order_bounds``
+every order's bound table, and ``certificates.OrderCertificates`` builds
+each per-order certificate once per distinct reduced graph. Per requested
+order t it pairs each requested kind's bound with its certificate through
+``evaluate_kind``, then derives the cross-validation and the
+cycle-conjecture verdict from those reports and the dominance record from
+the table. ``analyze`` renders that result, ``sweep_worker``
 builds each finding from it once, and ``replay_finding`` re-evaluates a
 witness through ``sweep_worker`` and looks for the finding among the ones
 it builds.
@@ -49,14 +51,12 @@ from .certificates import (
     VERDICT_DISCREPANCY,
     CrossValidation,
     EqualityCertificate,
+    OrderCertificates,
     conjecture_verdict,
     cross_validate,
-    cycle_equality_certificate,
-    edge_equality_certificate,
     is_block_forest_of_kr,
     is_clique_union_with_isolated,
     is_disjoint_clique_union,
-    vertex_equality_certificate,
 )
 from .cliques import clique_census
 from .enumeration import enumerate_levels, random_graph
@@ -92,6 +92,8 @@ class SearchConfig:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.equality_cap < 0:
             raise ValueError(f"equality cap must be >= 0, got {self.equality_cap}")
+        if self.weight_cap < 0:
+            raise ValueError(f"weight cap must be >= 0, got {self.weight_cap}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,12 @@ class GraphSource:
     params: dict = field(default_factory=dict)
     connected_only: bool = False
     max_edges: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise ValueError(f"count must be >= 0, got {self.count}")
+        if self.max_edges is not None and self.max_edges < 0:
+            raise ValueError(f"max edges must be >= 0, got {self.max_edges}")
 
     def _accept(self, g: Graph) -> bool:
         if self.max_edges is not None and g.m > self.max_edges:
@@ -211,18 +219,19 @@ def classical_certificates(
 
 
 def evaluate_kind(
-    g: Graph, weights: WeightMap, count: int, t: int, kind: str, bound: Fraction,
+    certificates: OrderCertificates, count: int, t: int, kind: str, bound: Fraction,
     classical: dict[str, EqualityCertificate],
 ) -> BoundReport:
     """One per-order kind's report: its bound, taken from the ``order_bounds``
     table of (g, t), against the count, with the kind's certificate.
-    ``classical`` holds the t-free certificates from ``classical_certificates``."""
+    ``certificates`` holds g's per-order certificates, ``classical`` the
+    t-free ones from ``classical_certificates``."""
     if kind == KIND_LOCAL_VERTEX:
-        cert = vertex_equality_certificate(g, t)
+        cert = certificates.vertex(t)
     elif kind == KIND_LOCAL_EDGE_PATH:
-        cert = edge_equality_certificate(g, weights, t)
+        cert = certificates.edge(t)
     elif kind == KIND_LOCAL_EDGE_CYCLE:
-        cert = cycle_equality_certificate(g, weights, t)
+        cert = certificates.cycle(t)
     else:
         cert = classical[kind]
     return make_report(kind, t, count, bound, cert)
@@ -262,21 +271,27 @@ def evaluate_graph(
     weights = all_weights(g, weight_cap)
     census = clique_census(g)
     classical = classical_certificates(g, weights, kinds, graph6)
+    certificates = OrderCertificates(g, weights)
+    ts = list(ts)
+    tables = order_bounds(g, weights, ts)
     orders = []
     for t in ts:
         count = census.get(t, 0)
-        bounds = order_bounds(g, weights, t)
+        bounds = tables[t]
         reports = {
-            kind: evaluate_kind(g, weights, count, t, kind, bounds[kind], classical) for kind in kinds if kind in bounds
+            kind: evaluate_kind(certificates, count, t, kind, bounds[kind], classical) for kind in kinds if kind in bounds
         }
         vertex = reports.get(KIND_LOCAL_VERTEX)
         cycle = reports.get(KIND_LOCAL_EDGE_CYCLE)
+        cross = None
+        if vertex is not None:
+            cross = cross_validate(vertex, certificates.vertex_core(t), reports.get(KIND_LOCAL_EDGE_PATH))
         orders.append(
             OrderEvaluation(
                 t,
                 count,
                 reports,
-                cross_validate(g, vertex, reports.get(KIND_LOCAL_EDGE_PATH)) if vertex is not None else None,
+                cross,
                 conjecture_verdict(cycle) if cycle is not None else None,
                 compare_local_vs_classical(g, weights, t, bounds) if t >= 2 else None,
             )

@@ -131,7 +131,7 @@ def test_criterion_4_dominance_and_classical_characterizations(analyzed):
     for g, census, weights in analyzed:
         d = g.max_degree()
         for t in range(2, T_MAX + 1):
-            rec = compare_local_vs_classical(g, weights, t, order_bounds(g, weights, t))
+            rec = compare_local_vs_classical(g, weights, t, order_bounds(g, weights, [t])[t])
             if not rec.ok:
                 dominance_failures += 1
             count = census[t] if t <= g.n else 0

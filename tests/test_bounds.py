@@ -43,7 +43,7 @@ PAW = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 def dominance(g, t, w=None):
     """The dominance record of (g, t), read from its bound table."""
     w = all_weights(g) if w is None else w
-    return compare_local_vs_classical(g, w, t, order_bounds(g, w, t))
+    return compare_local_vs_classical(g, w, t, order_bounds(g, w, [t])[t])
 
 
 def test_binom_vanishes_outside_range():

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from cliquebounds import (
     all_weights,
     count_cliques,
@@ -25,6 +27,7 @@ from cliquebounds.certificates import (
     VERDICT_BOTH_HOLD,
     VERDICT_DISCREPANCY,
     VERDICT_EXEMPT,
+    OrderCertificates,
     is_block_forest_of_kr,
     is_clique_union_with_isolated,
     is_disjoint_clique_union,
@@ -209,10 +212,21 @@ def cross_validate_at(g, t):
     """cross_validate on the vertex and edge-path reports, with an independent count."""
     w = all_weights(g)
     count = count_cliques(g, t).total
-    bounds = order_bounds(g, w, t)
-    vertex = evaluate_kind(g, w, count, t, KIND_LOCAL_VERTEX, bounds[KIND_LOCAL_VERTEX], {})
-    edge = evaluate_kind(g, w, count, t, KIND_LOCAL_EDGE_PATH, bounds[KIND_LOCAL_EDGE_PATH], {})
-    return cross_validate(g, vertex, edge)
+    bounds = order_bounds(g, w, [t])[t]
+    certificates = OrderCertificates(g, w)
+    vertex = evaluate_kind(certificates, count, t, KIND_LOCAL_VERTEX, bounds[KIND_LOCAL_VERTEX], {})
+    edge = evaluate_kind(certificates, count, t, KIND_LOCAL_EDGE_PATH, bounds[KIND_LOCAL_EDGE_PATH], {})
+    return cross_validate(vertex, vertex_core_certificate(g, t), edge)
+
+
+def test_order_certificates_reject_orders_below_each_kind():
+    g = K(4)
+    certificates = OrderCertificates(g, all_weights(g))
+    checks = ((certificates.vertex, 1), (certificates.vertex_core, 1), (certificates.edge, 2), (certificates.cycle, 2))
+    for build, lowest in checks:
+        build(lowest)  # a seen key must not serve an order its builder rejects
+        with pytest.raises(ValueError, match=f"got {lowest - 1}"):
+            build(lowest - 1)
 
 
 class TestCrossValidation:

@@ -197,6 +197,8 @@ class TestSearch:
         ("--equality-cap", "0", EXIT_OK),
         ("--parallelism", "-1", EXIT_USAGE),
         ("--parallelism", "0", EXIT_USAGE),
+        ("--weight-cap", "-1", EXIT_USAGE),
+        ("--max-edges", "-1", EXIT_USAGE),
     ])
     def test_sweep_number_minimums(self, capsys, monkeypatch, flag, value, code):
         import cliquebounds.search as search
@@ -211,6 +213,24 @@ class TestSearch:
             assert f"got {value}" in err
         else:  # a cap of 0 keeps every equality instance out of the findings
             assert all(f["category"] != "EQUALITY_INSTANCE" for f in json.loads(out)["findings"])
+
+    @pytest.mark.parametrize("argv, named", [
+        (("--random", "gnp", "--n", "6", "--count", "-5"), "count must be >= 0, got -5"),
+        (("--random", "gnp", "--n", "6", "--max-edges", "-1"), "max edges must be >= 0, got -1"),
+        (("--exhaustive", "4", "--max-edges", "-1"), "max edges must be >= 0, got -1"),
+        (("--exhaustive", "4", "--weight-cap", "-1"), "weight cap must be >= 0, got -1"),
+    ])
+    def test_negative_sweep_numbers_exit_2_before_any_graph(self, capsys, monkeypatch, argv, named):
+        import cliquebounds.search as search
+
+        def no_graphs(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(search, "random_graph", no_graphs)
+        monkeypatch.setattr(search, "enumerate_levels", no_graphs)
+        code, out, err = run(capsys, "search", *argv)
+        assert code == EXIT_USAGE
+        assert named in err and "graphs analyzed" not in out
 
     def test_exhaustive_order_over_the_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "search", "--exhaustive", "3,9")

@@ -8,7 +8,7 @@ them must be deliberate: re-record the hashes and say why.
 
 import hashlib
 
-from cliquebounds import enumerate_levels, write_graph6
+from cliquebounds import enumerate_levels, random_gnp, write_graph6
 from cliquebounds.cli import EXIT_OK, main
 
 SEARCH_SHA256 = {
@@ -17,21 +17,42 @@ SEARCH_SHA256 = {
     "csv": "23426c6be50f5efd0718dba12d93c3d8c9f8b4c277db4717d20b5f46936392e3",
 }
 ANALYZE_SHA256 = "6aada39d65dd09a75d57d0a25941f66e08fe366d1b4df4b13fa022ed02c9f54f"
+# verify, default kinds and orders, over DENSE_GRAPHS: dense graphs on 10..12
+# vertices, where most reduced graphs repeat across orders and the cycle
+# certificate's stripped graph is usually g itself.
+VERIFY_DENSE_SHA256 = {
+    "findings": "6b6aac8d783baa60d5760f0119a6b9fef05e64fdee39e24b99f04239d869aa77",
+    "summary": "494d1d9ff77add8c96c98e6977e28856b51f7d92d4a4d80cf026837c2fc27f8d",
+    "csv": "d0dfa28a04a86c30a74e49ecd41104efccefa634d1c3d2ce076756285531715b",
+}
+
+
+DENSE_GRAPHS = [random_gnp(n, p, seed) for n in (10, 11, 12) for p in (0.5, 0.7) for seed in range(7)]
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_search_outputs_are_byte_identical(tmp_path, capsys):
+def sweep_hashes(argv: list[str], tmp_path, capsys) -> dict[str, str]:
     paths = {name: tmp_path / name for name in SEARCH_SHA256}
-    code = main([
-        "search", "--exhaustive", "1,2,3,4,5,6", "--t", "1:6", "--kinds", "all", "--min-slack",
-        "--findings", str(paths["findings"]), "--summary", str(paths["summary"]), "--csv", str(paths["csv"]),
-    ])
+    code = main([*argv, "--findings", str(paths["findings"]), "--summary", str(paths["summary"]),
+                 "--csv", str(paths["csv"])])
     capsys.readouterr()
     assert code == EXIT_OK
-    assert {name: sha256(path.read_bytes()) for name, path in paths.items()} == SEARCH_SHA256
+    return {name: sha256(path.read_bytes()) for name, path in paths.items()}
+
+
+def test_search_outputs_are_byte_identical(tmp_path, capsys):
+    argv = ["search", "--exhaustive", "1,2,3,4,5,6", "--t", "1:6", "--kinds", "all", "--min-slack"]
+    assert sweep_hashes(argv, tmp_path, capsys) == SEARCH_SHA256
+
+
+def test_verify_dense_outputs_are_byte_identical(tmp_path, capsys):
+    source = tmp_path / "dense.g6"
+    source.write_text("".join(write_graph6(g) + "\n" for g in DENSE_GRAPHS))
+    assert len(DENSE_GRAPHS) == 42 and min(g.m for g in DENSE_GRAPHS) == 18
+    assert sweep_hashes(["verify", str(source)], tmp_path, capsys) == VERIFY_DENSE_SHA256
 
 
 def test_analyze_json_is_byte_identical(capsys):

@@ -222,3 +222,31 @@ class TestOperations:
 
     def test_mask_of(self):
         assert mask_of([0, 2, 5]) == 0b100101
+
+
+# Text that reaches the parsers' deeper checks: graph6 characters, and
+# edge-list lines of numbers, some out of range or not numbers at all.
+GRAPH6_TEXT = st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=127), max_size=40)
+EDGE_LIST_TOKENS = st.one_of(st.integers(-3, 70).map(str), st.sampled_from(["", "x", "1.5", "10" * 12, "-0", "٣"]))
+EDGE_LIST_TEXT = st.lists(st.lists(EDGE_LIST_TOKENS, max_size=3).map(" ".join), max_size=8).map("\n".join)
+
+
+class TestParserFuzz:
+    """Malformed input gives a GraphError, never another exception."""
+
+    @given(st.one_of(st.text(), GRAPH6_TEXT))
+    @settings(max_examples=400)
+    def test_parse_graph6_raises_only_graph_error(self, text):
+        for line in (text, ">>graph6<<" + text):
+            try:
+                parse_graph6(line)
+            except GraphError:
+                pass
+
+    @given(st.one_of(st.text(), EDGE_LIST_TEXT))
+    @settings(max_examples=400)
+    def test_parse_edge_list_text_raises_only_graph_error(self, text):
+        try:
+            parse_edge_list_text(text)
+        except GraphError:
+            pass

@@ -6,27 +6,54 @@ import io
 
 import pytest
 
+import cliquebounds.certificates as certificates
 from cliquebounds import (
     Finding,
     GraphSource,
     SearchConfig,
+    all_weights,
+    block_decomposition,
     canonical_form,
     connected_components,
     count_cliques,
+    cross_validate,
+    cycle_equality_certificate,
+    edge_equality_certificate,
     enumerate_graphs,
     from_edge_list,
     is_clique,
     parse_graph6,
+    random_gnp,
     replay_finding,
     run_sweep,
+    vertex_equality_certificate,
+    w_set,
     write_graph6,
+    x_core,
+    x_set,
+    z_set,
 )
 from cliquebounds.bounds import (
     DEFAULT_SWEEP_KINDS,
+    KIND_CC_CYCLE,
+    KIND_CC_PATH,
     KIND_LOCAL_EDGE_CYCLE,
     KIND_LOCAL_EDGE_PATH,
     KIND_LOCAL_VERTEX,
+    KIND_WOOD,
+    PER_ORDER_KINDS,
+    cc_cycle_bound,
+    cc_path_bound,
+    classical_cycle_r,
+    classical_path_r,
+    compare_local_vs_classical,
+    local_edge_cycle_bound,
+    local_edge_path_bound,
+    local_vertex_bound,
+    make_report,
+    wood_bound,
 )
+from cliquebounds.certificates import vertex_core_certificate
 from cliquebounds.cli import _parse_kinds
 from cliquebounds.graph import GraphError
 from cliquebounds.search import (
@@ -36,6 +63,7 @@ from cliquebounds.search import (
     CATEGORY_EQUALITY_INSTANCE,
     CATEGORY_MIN_SLACK,
     CSV_COLUMNS,
+    classical_certificates,
     evaluate_graph,
     findings_to_jsonl,
     rows_to_csv,
@@ -274,3 +302,78 @@ def test_dominance_violation_is_reported_and_replays(monkeypatch):
     assert len(dom) == 1 and dom[0].category == CATEGORY_BOUND_VIOLATION
     assert replay_finding(dom[0])
     assert not replay_finding(replace(dom[0], bound_num=dom[0].bound_num + 1))
+
+
+def test_evaluate_graph_matches_the_per_t_functions(corpus):
+    """Every report, cross-validation and dominance record of ``evaluate_graph``,
+    over every graph with n <= 7 at t = 1..7 and all six per-order kinds,
+    equals what the per-t bound functions and certificate builders give."""
+    for g in (g for level in corpus.values() for g in level):
+        w = all_weights(g)
+        assert w.blocks == block_decomposition(g)  # the cycle certificate's blocks when nothing is stripped
+        classical = classical_certificates(g, w, PER_ORDER_KINDS)
+        for order in evaluate_graph(g, range(1, 8), PER_ORDER_KINDS).orders:
+            t = order.t
+            count = count_cliques(g, t).total if t <= g.n else 0
+            expected = {
+                KIND_LOCAL_VERTEX: (local_vertex_bound(g, t), vertex_equality_certificate(g, t)),
+                KIND_WOOD: (wood_bound(g.n, g.max_degree(), t), classical[KIND_WOOD]),
+            }
+            if t >= 2:
+                expected[KIND_LOCAL_EDGE_PATH] = (local_edge_path_bound(g, w, t), edge_equality_certificate(g, w, t))
+                expected[KIND_LOCAL_EDGE_CYCLE] = (local_edge_cycle_bound(g, w, t), cycle_equality_certificate(g, w, t))
+                expected[KIND_CC_PATH] = (cc_path_bound(g.m, classical_path_r(w, g.m), t), classical[KIND_CC_PATH])
+                expected[KIND_CC_CYCLE] = (cc_cycle_bound(g.m, classical_cycle_r(w), t), classical[KIND_CC_CYCLE])
+            reports = {kind: make_report(kind, t, count, *expected[kind]) for kind in PER_ORDER_KINDS if kind in expected}
+            assert order.count == count
+            assert list(order.reports.items()) == list(reports.items()), (write_graph6(g), t)
+            edge = reports.get(KIND_LOCAL_EDGE_PATH)
+            assert order.cross == cross_validate(reports[KIND_LOCAL_VERTEX], vertex_core_certificate(g, t), edge)
+            bounds = {kind: r.bound for kind, r in reports.items()}
+            assert order.dominance == (compare_local_vs_classical(g, w, t, bounds) if t >= 2 else None)
+
+
+def test_each_certificate_is_built_once_per_reduced_graph(monkeypatch):
+    """A guard on the certificate builds of ``evaluate_graph`` over a fixed corpus.
+
+    Each builder is counted with its reduced graph's key from the per-t
+    threshold functions; no key may be built twice for one graph, and the
+    cycle certificate decomposes a graph only when an edge was stripped from
+    it (otherwise the blocks of ``all_weights`` serve). Over the 36 graphs
+    below, 253 (graph, t) pairs take 359 builds, where one build per
+    certificate and order took 940.
+    """
+    builds, decomposed = [], []
+
+    def counted(name, builder, key):
+        def wrapper(*args):
+            builds.append((name, key(*args)))
+            return builder(*args)
+
+        return wrapper
+
+    decompose = certificates.block_decomposition
+    monkeypatch.setattr(certificates, "block_decomposition", lambda h: decomposed.append(h) or decompose(h))
+    for name, builder, key in (
+        ("vertex", "vertex_equality_certificate", x_set),
+        ("core", "vertex_core_certificate", x_core),
+        ("edge", "edge_equality_certificate", lambda g, w, t: frozenset(z_set(g, w, t))),
+        ("cycle", "cycle_equality_certificate", lambda g, w, t: frozenset(w_set(g, w, t))),
+    ):
+        monkeypatch.setattr(certificates, builder, counted(name, getattr(certificates, builder), key))
+    total_builds = pairs = per_order = 0
+    for n in (8, 10, 12):
+        for p in (0.3, 0.5, 0.7):
+            for seed in range(4):
+                g = random_gnp(n, p, seed)
+                builds.clear()
+                decomposed.clear()
+                ts = range(1, g.max_degree() + 2)
+                evaluate_graph(g, ts, PER_ORDER_KINDS)
+                pairs += len(ts)
+                per_order += sum(4 if t >= 2 else 2 for t in ts)
+                assert len(builds) == len(set(builds)), write_graph6(g)
+                stripped = [key for name, key in builds if name == "cycle" and key]
+                assert len(decomposed) == len(stripped) and all(h.m < g.m for h in decomposed), write_graph6(g)
+                total_builds += len(builds)
+    assert (pairs, total_builds, per_order) == (253, 359, 940)
