@@ -234,6 +234,8 @@ def _print_sweep_human(result) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.weight_cap < 0:  # a usage error, not a graph too large for the cap
+        raise ValueError(f"weight cap must be >= 0, got {args.weight_cap}")
     g = load_single_graph(args.graph, args.edge_list)
     t_min, t_max = parse_t_range(args.t)
     report = build_analyze_report(g, list(order_range(g, t_min, t_max)), args.weight_cap)

@@ -98,6 +98,23 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "no graph after" in err
 
+    @pytest.mark.parametrize("graph", ["@", "C~", "-"])
+    def test_negative_weight_cap_exits_2_before_any_graph(self, capsys, monkeypatch, graph):
+        import cliquebounds.cli as cli
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was loaded")
+
+        monkeypatch.setattr(cli, "load_single_graph", no_graph)
+        code, out, err = run(capsys, "analyze", graph, "--weight-cap", "-1")
+        assert code == EXIT_USAGE and out == ""
+        assert "weight cap must be >= 0, got -1" in err and "exceeds cap" not in err
+
+    def test_zero_weight_cap_is_a_cap_not_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "analyze", "@", "--weight-cap", "0")
+        assert code == EXIT_USAGE
+        assert "n=1 exceeds cap 0" in err
+
 
 class TestVerify:
     def test_k4_stream_yields_one_equality_row_per_kind(self, capsys, monkeypatch):

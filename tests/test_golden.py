@@ -8,7 +8,7 @@ them must be deliberate: re-record the hashes and say why.
 
 import hashlib
 
-from cliquebounds import enumerate_levels, random_gnp, write_graph6
+from cliquebounds import all_weights, enumerate_levels, random_gnp, write_graph6
 from cliquebounds.cli import EXIT_OK, main
 
 SEARCH_SHA256 = {
@@ -26,8 +26,19 @@ VERIFY_DENSE_SHA256 = {
     "csv": "d0dfa28a04a86c30a74e49ecd41104efccefa634d1c3d2ce076756285531715b",
 }
 
+# p(e), c(e), the longest path and the circumference of SPARSE_TAIL, each
+# searched at its own n as cap, recorded with the weight kernel before it
+# peeled dead ends and ordered its steps by scarcity.
+SPARSE_TAIL_SHA256 = "f4be414397519409857dd459fe311ff0bdb9e6b3c99c38e48dd344ef7bfc2edd"
+
 
 DENSE_GRAPHS = [random_gnp(n, p, seed) for n in (10, 11, 12) for p in (0.5, 0.7) for seed in range(7)]
+
+# Sparse G(n, p), n = 16..24, where the exact searches run longest. It holds
+# G(22, 0.3, 1), one Hamiltonian block whose cycle searches must find a
+# Hamiltonian cycle, and G(20, 0.2, 1) and G(24, 0.2, 1), with degree-2
+# vertices, where many cycle searches must prove that no longer cycle exists.
+SPARSE_TAIL = [(n, p, 1) for n in (16, 18, 20, 22, 24) for p in (0.2, 0.25, 0.3)]
 
 
 def sha256(data: bytes) -> str:
@@ -63,3 +74,16 @@ def test_analyze_json_is_byte_identical(capsys):
         assert main(["analyze", line, "--format", "json", "--t", "1:6"]) == EXIT_OK
         out.append(capsys.readouterr().out)
     assert sha256("".join(out).encode("utf-8")) == ANALYZE_SHA256
+
+
+def weights_digest(specs: list[tuple[int, float, int]]) -> str:
+    h = hashlib.sha256()
+    for n, p, seed in specs:
+        w = all_weights(random_gnp(n, p, seed), cap=n)
+        h.update(repr((n, p, seed, sorted(w.p.items()), sorted(w.c.items()), w.longest_path,
+                       w.circumference)).encode())
+    return h.hexdigest()
+
+
+def test_sparse_tail_weights_are_unchanged():
+    assert weights_digest(SPARSE_TAIL) == SPARSE_TAIL_SHA256

@@ -460,6 +460,14 @@ class TestExchangeRules:
                     assert all(p[e] <= oracle.p[e] and c[e] <= oracle.c[e] for e in p), g
 
 
+def weights_match_the_oracle(n: int, density: float, seed: int) -> None:
+    g = random_gnp(n, density, seed)
+    fast, slow = all_weights(g), dp_all_weights(g)
+    assert (fast.p, fast.c, fast.longest_path, fast.circumference) == (
+        slow.p, slow.c, slow.longest_path, slow.circumference
+    )
+
+
 def test_all_weights_matches_the_oracle_on_random_graphs():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -467,11 +475,20 @@ def test_all_weights_matches_the_oracle_on_random_graphs():
     @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
     @hypothesis.given(st.integers(2, 9), st.floats(0.2, 0.8), st.integers(0, 2**32 - 1))
     def check(n, density, seed):
-        g = random_gnp(n, density, seed)
-        fast, slow = all_weights(g), dp_all_weights(g)
-        assert (fast.p, fast.c, fast.longest_path, fast.circumference) == (
-            slow.p, slow.c, slow.longest_path, slow.circumference
-        )
+        weights_match_the_oracle(n, density, seed)
+
+    check()
+
+
+def test_all_weights_matches_the_oracle_on_sparse_random_graphs():
+    """Sparse graphs have degree-2 vertices and dead ends, where the searches peel."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 11), st.floats(0.1, 0.35), st.integers(0, 2**32 - 1))
+    def check(n, density, seed):
+        weights_match_the_oracle(n, density, seed)
 
     check()
 
@@ -479,10 +496,11 @@ def test_all_weights_matches_the_oracle_on_random_graphs():
 def test_exchange_rules_keep_the_searches_few(monkeypatch):
     """A guard on the number of kernel searches over a fixed dense corpus.
 
-    With every rule, the 40 graphs below take 74 cycle and 11 path searches.
-    Without crossovers they take 566 cycle searches; without rotations, 28
-    path searches; without the chord rule, 69. The kernel of witnessed
-    incumbents alone took 566 and 34.
+    With every rule, the 40 graphs below take 68 cycle and 11 path searches
+    (74 cycle searches before the scarcity order, which finds other
+    witnesses). Without crossovers they take 455 cycle searches; without
+    rotations, 28 path searches; without the chord rule, 62. The kernel of
+    witnessed incumbents alone took 566 and 34.
     """
     calls = {"cycle": 0, "path": 0}
 
@@ -501,3 +519,30 @@ def test_exchange_rules_keep_the_searches_few(monkeypatch):
                 all_weights(random_gnp(n, density, seed))
     assert calls["cycle"] <= 100, calls
     assert calls["path"] <= 20, calls
+
+
+def test_pruning_rules_keep_the_kernel_nodes_few(monkeypatch):
+    """A guard on the number of kernel nodes, one reachability walk each.
+
+    G(22, 0.3, 1) is one Hamiltonian block: its cycle searches must find a
+    Hamiltonian cycle and take 123 walks; with neighbours tried in index
+    order instead of scarcity order, 1,486. G(20, 0.2, 1) has degree-2
+    vertices, and its searches must prove that nothing longer exists: 14,475
+    walks; without degree peeling in the cycle search 68,248, without the
+    dead-end count of the path search 150,866 (36,250 without it in
+    ``arm_u`` alone). The kernel before these rules took 206,391.
+    """
+    calls = 0
+    walk = kernel.reachable_within
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return walk(*args)
+
+    monkeypatch.setattr(kernel, "reachable_within", counted)
+    all_weights(random_gnp(22, 0.3, 1), cap=22)
+    assert calls <= 250, calls
+    calls = 0
+    all_weights(random_gnp(20, 0.2, 1))
+    assert calls <= 20_000, calls
