@@ -301,7 +301,12 @@ def cmd_search(args) -> int:
             max_edges=args.max_edges,
         )
     else:
-        ns = tuple(int(x) for x in args.exhaustive.split(","))
+        try:
+            ns = tuple(int(x) for x in args.exhaustive.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--exhaustive expects comma-separated vertex counts, got {args.exhaustive!r}"
+            ) from None
         source = GraphSource(
             kind="exhaustive", ns=ns, connected_only=args.connected_only, max_edges=args.max_edges
         )

@@ -4,19 +4,24 @@ These deliberately share no code with the production counters: cliques are
 found by testing every vertex subset, and path/cycle weights come from a
 subset dynamic program over (vertex set, endpoint) states. Both are exported
 so the CLI can run the same cross-checks the test suite runs, but they are
-capped well below the production limits.
+capped well below the production limits. The canonical-labeling oracle shares
+only the vertex refinement, which defines the canonical form; it tries every
+order the refinement allows, with no pruning.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 from .cliques import CliqueCounts
+from .enumeration import _refined_classes
 from .graph import Graph, iter_bits
 from .weights import CapExceededError, WeightMap, block_decomposition
 
 NAIVE_CLIQUE_CAP = 10
 DP_WEIGHT_CAP = 12
+PRODUCT_CANONICAL_CAP = 40_320  # vertex orders tried; 8!, so it covers every graph on n <= 8
 
 
 def _check_cap(g: Graph, cap: int, what: str) -> None:
@@ -159,3 +164,34 @@ def dp_all_weights(g: Graph) -> WeightMap:
     circumference = max((x for x in c.values() if x >= 3), default=0)
     # The blocks are not what this oracle checks; tests compare them with networkx.
     return WeightMap(g.degrees(), p, c, longest_path, circumference, block_decomposition(g))
+
+
+def product_canonical_graph(g: Graph) -> Graph:
+    """Oracle ``canonical_graph``: the least upper-triangle bit string in graph6
+    column order over the full product of permutations within each refined
+    class, then g relabeled by that order."""
+    n = g.n
+    if n <= 1:
+        return g
+    classes = _refined_classes(g)
+    orders = prod(factorial(len(c)) for c in classes)
+    if orders > PRODUCT_CANONICAL_CAP:
+        raise CapExceededError(
+            f"canonical labeling oracle tries at most {PRODUCT_CANONICAL_CAP} vertex orders, "
+            f"got {orders} (n={n})"
+        )
+    adj = g.adj
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    best_val: int | None = None
+    best_order: list[int] = []
+    for groups in product(*(permutations(c) for c in classes)):
+        order = [v for group in groups for v in group]
+        val = 0
+        for i, j in pairs:
+            val = (val << 1) | ((adj[order[i]] >> order[j]) & 1)
+        if best_val is None or val < best_val:
+            best_val, best_order = val, order
+    rows = tuple(
+        sum(1 << j for j in range(n) if (adj[best_order[i]] >> best_order[j]) & 1) for i in range(n)
+    )
+    return Graph._raw(n, rows, g.m)

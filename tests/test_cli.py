@@ -231,6 +231,13 @@ class TestSearch:
         else:  # a cap of 0 keeps every equality instance out of the findings
             assert all(f["category"] != "EQUALITY_INSTANCE" for f in json.loads(out)["findings"])
 
+    @pytest.mark.parametrize("value", ["4,x", "4,,5", ""])
+    def test_malformed_exhaustive_list_names_the_flag(self, capsys, value):
+        code, out, err = run(capsys, "search", "--exhaustive", value)
+        assert code == EXIT_USAGE
+        assert f"--exhaustive expects comma-separated vertex counts, got {value!r}" in err
+        assert "invalid literal" not in err and "graphs analyzed" not in out
+
     @pytest.mark.parametrize("argv, named", [
         (("--random", "gnp", "--n", "6", "--count", "-5"), "count must be >= 0, got -5"),
         (("--random", "gnp", "--n", "6", "--max-edges", "-1"), "max edges must be >= 0, got -1"),

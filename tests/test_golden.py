@@ -1,4 +1,5 @@
-"""Golden outputs: the full bytes of a sweep's files and of analyze's JSON.
+"""Golden outputs: the full bytes of a sweep's files, of analyze's JSON and of
+enumerate's graph6 lines.
 
 The hashes pin every field the CLI writes, including the dominance and
 cross-validation sections, certificate evidence, finding slack and detail,
@@ -7,6 +8,8 @@ them must be deliberate: re-record the hashes and say why.
 """
 
 import hashlib
+
+import pytest
 
 from cliquebounds import all_weights, enumerate_levels, random_gnp, write_graph6
 from cliquebounds.cli import EXIT_OK, main
@@ -24,6 +27,13 @@ VERIFY_DENSE_SHA256 = {
     "findings": "6b6aac8d783baa60d5760f0119a6b9fef05e64fdee39e24b99f04239d869aa77",
     "summary": "494d1d9ff77add8c96c98e6977e28856b51f7d92d4a4d80cf026837c2fc27f8d",
     "csv": "d0dfa28a04a86c30a74e49ecd41104efccefa634d1c3d2ce076756285531715b",
+}
+
+# `cliquebounds enumerate N`, recorded while every one-vertex extension was
+# still labelled by the full product of class permutations.
+ENUMERATE_SHA256 = {
+    7: "ad530e8b8c46fd74efe41d701d5ee6cef01b846a4e6d662ead3cfa7d9a0d2b7f",
+    8: "ddfbae53eb4c04c78afe6585f03aa6530c639322a0db28a0d7524ea4b1af56a0",
 }
 
 # p(e), c(e), the longest path and the circumference of SPARSE_TAIL, each
@@ -74,6 +84,14 @@ def test_analyze_json_is_byte_identical(capsys):
         assert main(["analyze", line, "--format", "json", "--t", "1:6"]) == EXIT_OK
         out.append(capsys.readouterr().out)
     assert sha256("".join(out).encode("utf-8")) == ANALYZE_SHA256
+
+
+@pytest.mark.parametrize("n, lines", [(7, 1044), (8, 12346)])
+def test_enumerate_output_is_byte_identical(capsys, n, lines):
+    assert main(["enumerate", str(n)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("\n") == lines
+    assert sha256(out.encode("ascii")) == ENUMERATE_SHA256[n]
 
 
 def weights_digest(specs: list[tuple[int, float, int]]) -> str:
