@@ -9,30 +9,35 @@ Each bound comes with a characterization of the graphs attaining it:
 * cycle bound (conjectured): delete edges whose longest cycle is shorter
   than t, what remains must be a block forest.
 
-Certificates are always computed independently of the equality flags so the
-"if and only if" claims are tested empirically rather than assumed; a
-discrepancy between the two is a first-class outcome, not an error. Each
-certificate keeps the graph it was checked on and encodes it as graph6 only
-when rendered.
+This module is the only place where a certificate is built or a
+characterization verdict decided. Certificates are always computed
+independently of the equality flags so the "if and only if" claims are
+tested empirically rather than assumed; a discrepancy between the two is a
+first-class outcome, not an error. Each certificate keeps the graph it was
+checked on and encodes it as graph6 only when rendered.
 
-Each certificate depends on t only through its reduced graph, and the
-reduced graphs of one graph are nested in t. ``OrderCertificates`` computes
-each reduced graph's key from t-free tables (the degrees, the core numbers
-of one core decomposition, the sorted p(e) and c(e)) and runs a builder
+``OrderCertificates`` serves the certificate of every per-order bound kind
+from one table. Each local certificate depends on t only through its
+reduced graph, and the reduced graphs of one graph are nested in t, so each
+reduced graph's key comes from a t-free table (the degrees, the core numbers
+of one core decomposition, the sorted p(e) and c(e)), and a builder
 (``vertex_equality_certificate`` and its three siblings, which stay the
-per-t oracle) only on an unseen key.
+per-t oracle) runs only on an unseen key. The three classical certificates
+(``classical_certificate``) check g itself and are built once per graph.
 
-``cross_validate`` and ``conjecture_verdict`` compare the equality flag and
+``conjecture_verdict`` and ``cross_validate`` compare the equality flag and
 the certificate of reports that were already evaluated (see
 ``search.evaluate_graph``); they count nothing and build no certificate:
-the caller passes the vertex-core certificate in. For the vertex side the
-threshold deletion is iterated to its fixed point (the (t-1)-core) before
-the equality/certificate pair is compared: one deletion round can drop
-surviving degrees below the threshold again, and the characterization is
-only meaningful once the graph is stable under the reduction. Both the
-reduced and the unreduced comparisons are reported. The core needs no
-recount: every K_t lies inside the (t-1)-core, because each of its vertices
-has t-1 neighbours in it, so the core's K_t count is g's.
+the caller passes the vertex-core certificate in. The edge-path and cycle
+verdicts follow one rule, ``conjecture_verdict``, which the edge section of
+``cross_validate`` shares. For the vertex side the threshold deletion is
+iterated to its fixed point (the (t-1)-core) before the equality/certificate
+pair is compared: one deletion round can drop surviving degrees below the
+threshold again, and the characterization is only meaningful once the graph
+is stable under the reduction. Both the reduced and the unreduced
+comparisons are reported. The core needs no recount: every K_t lies inside
+the (t-1)-core, because each of its vertices has t-1 neighbours in it, so
+the core's K_t count is g's.
 """
 
 from __future__ import annotations
@@ -42,7 +47,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .bounds import BoundReport, equals_count, local_vertex_bound
+from .bounds import (
+    KIND_CC_CYCLE, KIND_CC_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, KIND_WOOD, BoundReport,
+    classical_cycle_r, classical_path_r, equals_count, local_vertex_bound,
+)
 from .graph import Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits, write_graph6
 from .weights import BlockDecomposition, WeightMap, block_decomposition, block_vertex_sets
 
@@ -50,6 +58,9 @@ VERDICT_BOTH_HOLD = "both-hold"
 VERDICT_BOTH_FAIL = "both-fail"
 VERDICT_DISCREPANCY = "discrepancy"
 VERDICT_EXEMPT = "exempt"
+
+# The kinds whose verdict is their report's conjecture_verdict, in finding order.
+VERDICT_KINDS = (KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE)
 
 
 @dataclass
@@ -203,54 +214,75 @@ def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> Equality
     return EqualityCertificate("cycle", holds, evidence, stripped, _describe("cycle", t))
 
 
-_MIN_ORDER = {"vertex": 1, "vertex-core": 1, "edge": 2, "cycle": 2}
+def classical_certificate(g: Graph, weights: WeightMap, kind: str, graph6: str | None = None) -> EqualityCertificate:
+    """The certificate of one classical kind: a check of g itself, the same at every order.
+
+    ``graph6``, if given, is g's graph6.
+    """
+    if kind == KIND_WOOD:
+        size = g.max_degree() + 1
+        return EqualityCertificate(
+            "wood", is_disjoint_clique_union(g, size), None, g, f"disjoint union of cliques on {size} vertices", graph6
+        )
+    if kind == KIND_CC_PATH:
+        r = classical_path_r(weights, g.m)
+        return EqualityCertificate(
+            "cc_path", is_clique_union_with_isolated(g, r), None, g,
+            f"disjoint union of cliques on {r} vertices plus isolated vertices", graph6,
+        )
+    if kind == KIND_CC_CYCLE:
+        r = classical_cycle_r(weights)
+        return EqualityCertificate(
+            "cc_cycle", is_block_forest_of_kr(g, r, weights.blocks), None, g,
+            f"block forest with every block a clique on {r} vertices", graph6,
+        )
+    raise ValueError(f"unknown classical bound kind {kind!r}")
 
 
 class OrderCertificates:
-    """The four per-order certificates of one graph, each built once per reduced graph.
+    """Every certificate of one graph, each built once per reduced graph.
 
     A reduced graph drops the vertices or edges whose value in a t-free
     table is below a threshold: x_set(g, t) keeps degree >= t - 1, x_core(g, t)
     core number >= t - 1, z_set strips p(e) < t - 1 and w_set c(e) < t. So the
     dropped sets are nested in t, and the number of dropped items, one
-    bisection of the sorted table, identifies the reduced graph. A builder
-    runs only on an unseen key; an order whose key was seen gets that
-    certificate with its own description.
+    bisection of the sorted table, identifies the reduced graph. A classical
+    certificate checks g itself: its table is empty, so its one key is built
+    on first request. A builder runs only on an unseen key; an order whose
+    key was seen gets that certificate with its own description.
     """
 
-    def __init__(self, g: Graph, weights: WeightMap) -> None:
-        self.g = g
-        self.weights = weights
-        self._degrees = sorted(g.degrees())
-        self._cores = sorted(core_numbers(g))
-        self._p = sorted(weights.p.values())
-        self._c = sorted(weights.c.values())
+    def __init__(self, g: Graph, weights: WeightMap, graph6: str | None = None) -> None:
+        # kind: (certificate name, sorted t-free table, threshold offset, lowest order, builder of order t)
+        self._rows: dict[str, tuple[str, list[int], int, int, Callable[[int], EqualityCertificate]]] = {
+            KIND_LOCAL_VERTEX: ("vertex", sorted(g.degrees()), -1, 1, lambda t: vertex_equality_certificate(g, t)),
+            "vertex-core": ("vertex-core", sorted(core_numbers(g)), -1, 1, lambda t: vertex_core_certificate(g, t)),
+            KIND_LOCAL_EDGE_PATH: (
+                "edge", sorted(weights.p.values()), -1, 2, lambda t: edge_equality_certificate(g, weights, t)
+            ),
+            KIND_LOCAL_EDGE_CYCLE: (
+                "cycle", sorted(weights.c.values()), 0, 2, lambda t: cycle_equality_certificate(g, weights, t)
+            ),
+        }
+        for kind, name, lowest in ((KIND_WOOD, "wood", 1), (KIND_CC_PATH, "cc_path", 2), (KIND_CC_CYCLE, "cc_cycle", 2)):
+            self._rows[kind] = (name, [], 0, lowest, lambda t, kind=kind: classical_certificate(g, weights, kind, graph6))
         self._built: dict[tuple[str, int], EqualityCertificate] = {}
 
-    def _get(self, kind: str, key: int, t: int, build: Callable[[], EqualityCertificate]) -> EqualityCertificate:
-        if t < _MIN_ORDER[kind]:
-            raise ValueError(f"clique order must be >= {_MIN_ORDER[kind]}, got {t}")
-        seen = self._built.get((kind, key))
-        if seen is None:
-            cert = self._built[kind, key] = build()
-            return cert
-        return EqualityCertificate(kind, seen.holds, seen.evidence, seen.reduced, _describe(kind, t))
-
-    def vertex(self, t: int) -> EqualityCertificate:
-        key = bisect_left(self._degrees, t - 1)
-        return self._get("vertex", key, t, lambda: vertex_equality_certificate(self.g, t))
+    def of(self, kind: str, t: int) -> EqualityCertificate:
+        """The certificate of a per-order bound kind at order t."""
+        name, table, offset, lowest, build = self._rows[kind]
+        if t < lowest:
+            raise ValueError(f"clique order must be >= {lowest}, got {t}")
+        key = bisect_left(table, t + offset)
+        cert = self._built.get((kind, key))
+        if cert is None:
+            cert = self._built[kind, key] = build(t)
+        elif name in _DESCRIPTIONS:
+            cert = EqualityCertificate(name, cert.holds, cert.evidence, cert.reduced, _describe(name, t))
+        return cert
 
     def vertex_core(self, t: int) -> EqualityCertificate:
-        key = bisect_left(self._cores, t - 1)
-        return self._get("vertex-core", key, t, lambda: vertex_core_certificate(self.g, t))
-
-    def edge(self, t: int) -> EqualityCertificate:
-        key = bisect_left(self._p, t - 1)
-        return self._get("edge", key, t, lambda: edge_equality_certificate(self.g, self.weights, t))
-
-    def cycle(self, t: int) -> EqualityCertificate:
-        key = bisect_left(self._c, t)
-        return self._get("cycle", key, t, lambda: cycle_equality_certificate(self.g, self.weights, t))
+        return self.of("vertex-core", t)
 
 
 def _verdict(equality: bool, certificate: bool) -> str:
@@ -319,8 +351,7 @@ def cross_validate(
         edge_equality = edge_certificate = None
         edge_verdict = VERDICT_EXEMPT
     else:
-        edge_equality, edge_certificate = edge.equality, edge.certificate.holds
-        edge_verdict = _verdict(edge_equality, edge_certificate) if t >= 3 else VERDICT_EXEMPT
+        edge_equality, edge_certificate, edge_verdict = edge.equality, edge.certificate.holds, conjecture_verdict(edge)
     return CrossValidation(
         t=t,
         vertex_equality=vertex.equality,
@@ -336,9 +367,13 @@ def cross_validate(
     )
 
 
-def conjecture_verdict(cycle: BoundReport) -> str:
-    """Equality versus the block-forest certificate of an evaluated cycle report."""
-    return _verdict(cycle.equality, cycle.certificate.holds) if cycle.t >= 3 else VERDICT_EXEMPT
+def conjecture_verdict(report: BoundReport) -> str:
+    """Equality versus the certificate of an evaluated edge-path or cycle report.
+
+    The paper claims the edge-path characterization for t >= 3 and
+    conjectures the cycle one there; below t = 3 the verdict is "exempt".
+    """
+    return _verdict(report.equality, report.certificate.holds) if report.t >= 3 else VERDICT_EXEMPT
 
 
 def is_disjoint_clique_union(g: Graph, size: int) -> bool:

@@ -89,13 +89,15 @@ def parse_t_range(raw: str | None) -> tuple[int, int | None]:
     """Parse 'MIN:MAX' or a single order; the default is 2 up to each graph's max degree + 1 (None)."""
     if raw is None:
         return 2, None
-    if ":" in raw:
-        lo_s, hi_s = raw.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(raw)
-    if lo < 1 or hi < lo:
-        raise ValueError(f"invalid t range {raw!r}")
+    lo_s, sep, hi_s = raw.partition(":")
+    try:
+        lo, hi = int(lo_s), int(hi_s if sep else lo_s)
+    except ValueError:
+        raise ValueError(f"--t expects an order or MIN:MAX, both integers, got {raw!r}") from None
+    if lo < 1:
+        raise ValueError(f"--t orders must be >= 1, got {raw!r}")
+    if hi < lo:
+        raise ValueError(f"--t MAX must be >= MIN, got {raw!r}")
     return lo, hi
 
 
@@ -277,9 +279,10 @@ def _sweep(args, source: GraphSource, **options) -> int:
 
 
 def cmd_verify(args) -> int:
-    source = GraphSource(kind="graph6_file", path=args.input) if args.input != "-" else GraphSource(
-        kind="graph6_lines", lines=tuple(sys.stdin.read().splitlines())
-    )
+    if args.input == "-":  # streamed: the sweep reads one line at a time
+        source = GraphSource(kind="graph6_lines", lines=sys.stdin)
+    else:
+        source = GraphSource(kind="graph6_file", path=args.input)
     return _sweep(args, source)
 
 

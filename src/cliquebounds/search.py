@@ -1,17 +1,18 @@
 """Per-graph evaluation and the sweep harness: stream graphs, emit findings.
 
 ``evaluate_graph`` is the one place where a graph's counts, bounds,
-certificates and verdicts are derived. Its t-free work is done once per
+certificates and verdicts are gathered. Its t-free work is done once per
 graph: one clique census gives every K_t count, ``bounds.order_bounds``
 every order's bound table, and ``certificates.OrderCertificates`` builds
-each per-order certificate once per distinct reduced graph. Per requested
-order t it pairs each requested kind's bound with its certificate through
-``evaluate_kind``, then derives the cross-validation and the
-cycle-conjecture verdict from those reports and the dominance record from
-the table. ``analyze`` renders that result, ``sweep_worker``
-builds each finding from it once, and ``replay_finding`` re-evaluates a
-witness through ``sweep_worker`` and looks for the finding among the ones
-it builds.
+every certificate once per distinct reduced graph. Per requested order t
+it pairs each requested kind's bound with that kind's certificate through
+``evaluate_kind``, then asks ``certificates`` for the verdicts of those
+reports (the cross-validation when local_vertex is requested, the
+edge-path and cycle verdicts) and ``bounds`` for the dominance record of
+the table. Nothing is evaluated that was not requested. ``analyze`` renders
+that result, ``sweep_worker`` builds each finding from it once, and
+``replay_finding`` re-evaluates a witness through ``sweep_worker`` and
+looks for the finding among the ones it builds.
 
 Workers see one graph at a time (parsed once by the source, with its graph6
 line, which doubles as the witness string) and return its findings; the
@@ -32,31 +33,23 @@ from typing import Iterable, Iterator
 
 from .bounds import (
     DEFAULT_SWEEP_KINDS,
-    KIND_CC_CYCLE,
-    KIND_CC_PATH,
     KIND_LOCAL_EDGE_CYCLE,
     KIND_LOCAL_EDGE_PATH,
     KIND_LOCAL_VERTEX,
-    KIND_WOOD,
     PER_ORDER_KINDS,
     BoundReport,
     DominanceRecord,
-    classical_cycle_r,
-    classical_path_r,
     compare_local_vs_classical,
     make_report,
     order_bounds,
 )
 from .certificates import (
     VERDICT_DISCREPANCY,
+    VERDICT_KINDS,
     CrossValidation,
-    EqualityCertificate,
     OrderCertificates,
     conjecture_verdict,
     cross_validate,
-    is_block_forest_of_kr,
-    is_clique_union_with_isolated,
-    is_disjoint_clique_union,
 )
 from .cliques import clique_census
 from .enumeration import enumerate_levels, random_graph
@@ -103,7 +96,7 @@ class GraphSource:
     kind: str  # "exhaustive" | "graph6_file" | "graph6_lines" | "random"
     ns: tuple[int, ...] = ()
     path: str | None = None
-    lines: tuple[str, ...] = ()
+    lines: Iterable[str] = ()  # read once, one line at a time
     model: str = "gnp"
     n: int = 0
     count: int = 0
@@ -146,7 +139,7 @@ class GraphSource:
         else:
             raise ValueError(f"unknown graph source kind {self.kind!r}")
 
-    def _parse_lines(self, lines) -> Iterator[tuple[str, Graph]]:
+    def _parse_lines(self, lines: Iterable[str]) -> Iterator[tuple[str, Graph]]:
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line:
@@ -190,51 +183,10 @@ def order_range(g: Graph, t_min: int, t_max: int | None) -> range:
     return range(t_min, (t_max if t_max is not None else max(g.max_degree() + 1, t_min)) + 1)
 
 
-def classical_certificates(
-    g: Graph, weights: WeightMap, kinds: tuple[str, ...], graph6: str | None = None
-) -> dict[str, EqualityCertificate]:
-    """The certificates of the requested classical kinds; none depends on t.
-
-    Each one checks g itself; ``graph6``, if given, is g's graph6.
-    """
-    out = {}
-    if KIND_WOOD in kinds:
-        size = g.max_degree() + 1
-        out[KIND_WOOD] = EqualityCertificate(
-            "wood", is_disjoint_clique_union(g, size), None, g, f"disjoint union of cliques on {size} vertices", graph6
-        )
-    if KIND_CC_PATH in kinds:
-        r = classical_path_r(weights, g.m)
-        out[KIND_CC_PATH] = EqualityCertificate(
-            "cc_path", is_clique_union_with_isolated(g, r), None, g,
-            f"disjoint union of cliques on {r} vertices plus isolated vertices", graph6,
-        )
-    if KIND_CC_CYCLE in kinds:
-        r = classical_cycle_r(weights)
-        out[KIND_CC_CYCLE] = EqualityCertificate(
-            "cc_cycle", is_block_forest_of_kr(g, r, weights.blocks), None, g,
-            f"block forest with every block a clique on {r} vertices", graph6,
-        )
-    return out
-
-
-def evaluate_kind(
-    certificates: OrderCertificates, count: int, t: int, kind: str, bound: Fraction,
-    classical: dict[str, EqualityCertificate],
-) -> BoundReport:
+def evaluate_kind(certificates: OrderCertificates, count: int, t: int, kind: str, bound: Fraction) -> BoundReport:
     """One per-order kind's report: its bound, taken from the ``order_bounds``
-    table of (g, t), against the count, with the kind's certificate.
-    ``certificates`` holds g's per-order certificates, ``classical`` the
-    t-free ones from ``classical_certificates``."""
-    if kind == KIND_LOCAL_VERTEX:
-        cert = certificates.vertex(t)
-    elif kind == KIND_LOCAL_EDGE_PATH:
-        cert = certificates.edge(t)
-    elif kind == KIND_LOCAL_EDGE_CYCLE:
-        cert = certificates.cycle(t)
-    else:
-        cert = classical[kind]
-    return make_report(kind, t, count, bound, cert)
+    table of (g, t), against the count, with g's certificate of that kind."""
+    return make_report(kind, t, count, bound, certificates.of(kind, t))
 
 
 @dataclass
@@ -245,7 +197,7 @@ class OrderEvaluation:
     count: int
     reports: dict[str, BoundReport]  # the evaluated kinds defined at t, in request order
     cross: CrossValidation | None  # when local_vertex was evaluated
-    cycle_verdict: str | None  # when local_edge_cycle_conjecture was evaluated
+    verdicts: dict[str, str]  # the conjecture_verdict of each evaluated edge-path or cycle kind
     dominance: DominanceRecord | None  # for t >= 2
 
 
@@ -259,59 +211,47 @@ class GraphEvaluation:
 def evaluate_graph(
     g: Graph, ts: Iterable[int], kinds: tuple[str, ...], weight_cap: int = DEFAULT_EXACT_CAP, graph6: str | None = None
 ) -> GraphEvaluation:
-    """Evaluate the given kinds at every order in ``ts``, each item exactly once.
+    """Evaluate the given kinds at every order in ``ts``, each item exactly
+    once: a kind requested twice is evaluated once, at its first position.
 
-    The edge-path pair is cross-validated together with the vertex pair, so
-    it is checked only where local_vertex is among ``kinds``. ``graph6``, if
-    given, is g's graph6; the certificates that check g itself reuse it.
+    ``graph6``, if given, is g's graph6; the certificates that check g itself
+    reuse it.
     """
     unknown = [kind for kind in kinds if kind not in PER_ORDER_KINDS]
     if unknown:
         raise ValueError(f"unknown per-order bound kind {unknown[0]!r}")
+    kinds = tuple(dict.fromkeys(kinds))
     weights = all_weights(g, weight_cap)
     census = clique_census(g)
-    classical = classical_certificates(g, weights, kinds, graph6)
-    certificates = OrderCertificates(g, weights)
+    certificates = OrderCertificates(g, weights, graph6)
     ts = list(ts)
     tables = order_bounds(g, weights, ts)
     orders = []
     for t in ts:
         count = census.get(t, 0)
         bounds = tables[t]
-        reports = {
-            kind: evaluate_kind(certificates, count, t, kind, bounds[kind], classical) for kind in kinds if kind in bounds
-        }
+        reports = {kind: evaluate_kind(certificates, count, t, kind, bounds[kind]) for kind in kinds if kind in bounds}
         vertex = reports.get(KIND_LOCAL_VERTEX)
-        cycle = reports.get(KIND_LOCAL_EDGE_CYCLE)
         cross = None
         if vertex is not None:
             cross = cross_validate(vertex, certificates.vertex_core(t), reports.get(KIND_LOCAL_EDGE_PATH))
-        orders.append(
-            OrderEvaluation(
-                t,
-                count,
-                reports,
-                cross,
-                conjecture_verdict(cycle) if cycle is not None else None,
-                compare_local_vs_classical(g, weights, t, bounds) if t >= 2 else None,
-            )
-        )
+        verdicts = {kind: conjecture_verdict(reports[kind]) for kind in VERDICT_KINDS if kind in reports}
+        dominance = compare_local_vs_classical(g, weights, t, bounds) if t >= 2 else None
+        orders.append(OrderEvaluation(t, count, reports, cross, verdicts, dominance))
     return GraphEvaluation(weights, census, orders)
 
 
 def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
     """Analyze one (graph6, graph) pair of a source; returns a record of its
     findings in stream order, before any cap: the evaluations t-major in
-    ``config.kinds`` order, then the characterization discrepancies, then the
-    dominance violations. An evaluation is a violation, an EQUALITY_INSTANCE
-    or a MIN_SLACK candidate by the sign of its report's slack."""
+    ``config.kinds`` order, each kind once, then the characterization
+    discrepancies, then the dominance violations. An evaluation is a
+    violation, an EQUALITY_INSTANCE or a MIN_SLACK candidate by the sign of
+    its report's slack."""
     line, g = item
     record: dict = {"graph6": line, "n": g.n, "m": g.m, "error": None, "findings": []}
-    kinds = config.kinds
-    if KIND_LOCAL_EDGE_PATH in kinds and KIND_LOCAL_VERTEX not in kinds:
-        kinds += (KIND_LOCAL_VERTEX,)  # the edge pair is cross-validated with the vertex pair
     try:
-        evaluation = evaluate_graph(g, order_range(g, config.t_min, config.t_max), kinds, config.weight_cap)
+        evaluation = evaluate_graph(g, order_range(g, config.t_min, config.t_max), config.kinds, config.weight_cap)
     except CapExceededError as exc:
         record["error"] = str(exc)
         return record
@@ -320,13 +260,10 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
         return Finding(category, line, g.n, g.m, t, kind, count, bound.numerator, bound.denominator,
                        slack.numerator, slack.denominator, certificate, detail)
 
-    evals, verdicts, violations = [], [], []
+    evals, discrepancies, violations = [], [], []
     for order in evaluation.orders:
         t, count, reports, cv = order.t, order.count, order.reports, order.cross
-        for kind in config.kinds:
-            r = reports.get(kind)
-            if r is None:
-                continue
+        for kind, r in reports.items():
             if r.slack < 0:
                 category = CATEGORY_CONJECTURE_VIOLATION if kind == KIND_LOCAL_EDGE_CYCLE else CATEGORY_BOUND_VIOLATION
                 detail = f"count exceeds bound by {-r.slack}"
@@ -335,18 +272,17 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
             else:
                 category, detail = CATEGORY_MIN_SLACK, "smallest positive slack for this (n,t,kind)"
             evals.append(finding(category, t, kind, count, r.bound, r.slack, r.certificate.holds, detail))
-        if cv is not None and KIND_LOCAL_VERTEX in config.kinds and cv.vertex_verdict == VERDICT_DISCREPANCY:
+        if cv is not None and cv.vertex_verdict == VERDICT_DISCREPANCY:
             bound, cert = cv.vertex_core_bound, cv.vertex_core_certificate
             detail = f"core equality {cv.vertex_core_equality} vs core certificate {cert} (core {write_graph6(cv.vertex_core)})"
-            verdicts.append(finding(CATEGORY_CHAR_DISCREPANCY, t, KIND_LOCAL_VERTEX, count, bound, bound - count, cert, detail))
-        if cv is not None and KIND_LOCAL_EDGE_PATH in config.kinds and cv.edge_verdict == VERDICT_DISCREPANCY:
-            r = reports[KIND_LOCAL_EDGE_PATH]
-            detail = f"equality {cv.edge_equality} vs certificate {cv.edge_certificate}"
-            verdicts.append(finding(CATEGORY_CHAR_DISCREPANCY, t, r.kind, count, r.bound, r.slack, cv.edge_certificate, detail))
-        if order.cycle_verdict == VERDICT_DISCREPANCY:
-            r = reports[KIND_LOCAL_EDGE_CYCLE]
-            detail = f"equality {r.equality} vs block-forest certificate {r.certificate.holds}"
-            verdicts.append(finding(CATEGORY_CHAR_DISCREPANCY, t, r.kind, count, r.bound, r.slack, r.certificate.holds, detail))
+            discrepancies.append(finding(CATEGORY_CHAR_DISCREPANCY, t, KIND_LOCAL_VERTEX, count, bound, bound - count, cert, detail))
+        for kind, verdict in order.verdicts.items():
+            if verdict == VERDICT_DISCREPANCY:
+                r, forest = reports[kind], "block-forest " if kind == KIND_LOCAL_EDGE_CYCLE else ""
+                detail = f"equality {r.equality} vs {forest}certificate {r.certificate.holds}"
+                discrepancies.append(
+                    finding(CATEGORY_CHAR_DISCREPANCY, t, kind, count, r.bound, r.slack, r.certificate.holds, detail)
+                )
         dom = order.dominance
         pairs = []
         if dom is not None and not dom.vertex_ok:
@@ -356,7 +292,7 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
         for kind, local, classical in pairs:
             detail = f"localized bound {local} exceeds classical bound {classical}"
             violations.append(finding(CATEGORY_BOUND_VIOLATION, t, kind, 0, classical, classical - local, None, detail))
-    record["findings"] = evals + verdicts + violations
+    record["findings"] = evals + discrepancies + violations
     return record
 
 

@@ -68,9 +68,8 @@ class CapExceededError(GraphError):
 
 @dataclass
 class WeightMap:
-    """Degrees plus per-edge path/cycle weights, the global extremes, and the blocks."""
+    """Per-edge path/cycle weights, the global extremes, and the blocks."""
 
-    degrees: tuple[int, ...]
     p: dict[tuple[int, int], int]
     c: dict[tuple[int, int], int]
     longest_path: int
@@ -393,7 +392,7 @@ def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
                 _expand(adj, p, c, path, False)
     longest_path = max(p.values(), default=0)
     circumference = max((length for length in c.values() if length >= 3), default=0)
-    return WeightMap(g.degrees(), p, c, longest_path, circumference, decomp)
+    return WeightMap(p, c, longest_path, circumference, decomp)
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:

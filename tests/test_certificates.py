@@ -1,6 +1,7 @@
 """Equality certificates, threshold sets, reductions, and cross-validation."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -21,7 +22,15 @@ from cliquebounds import (
     x_set,
     z_set,
 )
-from cliquebounds.bounds import KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, binom, local_edge_path_bound, order_bounds
+from cliquebounds.bounds import (
+    KIND_LOCAL_EDGE_PATH,
+    KIND_LOCAL_VERTEX,
+    KIND_WOOD,
+    PER_ORDER_KINDS,
+    binom,
+    local_edge_path_bound,
+    order_bounds,
+)
 from cliquebounds.certificates import (
     VERDICT_BOTH_FAIL,
     VERDICT_BOTH_HOLD,
@@ -214,16 +223,16 @@ def cross_validate_at(g, t):
     count = count_cliques(g, t).total
     bounds = order_bounds(g, w, [t])[t]
     certificates = OrderCertificates(g, w)
-    vertex = evaluate_kind(certificates, count, t, KIND_LOCAL_VERTEX, bounds[KIND_LOCAL_VERTEX], {})
-    edge = evaluate_kind(certificates, count, t, KIND_LOCAL_EDGE_PATH, bounds[KIND_LOCAL_EDGE_PATH], {})
+    vertex = evaluate_kind(certificates, count, t, KIND_LOCAL_VERTEX, bounds[KIND_LOCAL_VERTEX])
+    edge = evaluate_kind(certificates, count, t, KIND_LOCAL_EDGE_PATH, bounds[KIND_LOCAL_EDGE_PATH])
     return cross_validate(vertex, vertex_core_certificate(g, t), edge)
 
 
 def test_order_certificates_reject_orders_below_each_kind():
     g = K(4)
     certificates = OrderCertificates(g, all_weights(g))
-    checks = ((certificates.vertex, 1), (certificates.vertex_core, 1), (certificates.edge, 2), (certificates.cycle, 2))
-    for build, lowest in checks:
+    checks = [(partial(certificates.of, kind), 1 if kind in (KIND_LOCAL_VERTEX, KIND_WOOD) else 2) for kind in PER_ORDER_KINDS]
+    for build, lowest in [*checks, (certificates.vertex_core, 1)]:
         build(lowest)  # a seen key must not serve an order its builder rejects
         with pytest.raises(ValueError, match=f"got {lowest - 1}"):
             build(lowest - 1)

@@ -138,6 +138,37 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "line 3" in err
 
+    def test_stdin_is_streamed_not_read_whole(self, capsys, monkeypatch, tmp_path):
+        class LinesOnly(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("stdin was read whole")
+
+        text = "".join(line + "\n" for line in ("C~", "Bw", "", "DQw", "E~~w", "Cs"))
+        path = tmp_path / "graphs.g6"
+        path.write_text(text)
+        code, expected, _ = run(capsys, "verify", str(path), "--t", "2:4", "--format", "jsonl")
+        assert code == EXIT_OK and expected.count("\n") > 5
+        monkeypatch.setattr("sys.stdin", LinesOnly(text))
+        assert run(capsys, "verify", "-", "--t", "2:4", "--format", "jsonl") == (EXIT_OK, expected, "")
+        monkeypatch.setattr("sys.stdin", LinesOnly("C~\nBw\nE??*\n"))
+        code, _, err = run(capsys, "verify", "-")
+        assert code == EXIT_USAGE
+        assert "line 3" in err
+
+    def test_repeated_kind_counts_once(self, capsys, tmp_path):
+        outputs = {}
+        for kinds in ("local_vertex", "local_vertex,local_vertex"):
+            paths = [tmp_path / f"{kinds}.{name}" for name in ("findings", "summary", "csv")]
+            code, _, _ = run(capsys, "search", "--exhaustive", "3", "--t", "2", "--kinds", kinds,
+                             "--findings", str(paths[0]), "--summary", str(paths[1]), "--csv", str(paths[2]))
+            assert code == EXIT_OK
+            outputs[kinds] = [path.read_bytes() for path in paths]
+        assert outputs["local_vertex,local_vertex"] == outputs["local_vertex"]
+        findings, summary, rows = outputs["local_vertex"]
+        assert findings.count(b"\n") == 5 and rows.count(b"\n") == 5
+        by_nt = json.loads(summary)["by_nt"]
+        assert sum(ks["local_vertex"]["evaluations"] for ks in by_nt.values()) == 4
+
     def test_exhaustive_file_clean_exit(self, capsys, tmp_path):
         from cliquebounds import enumerate_graphs, write_graph6
 
@@ -285,6 +316,22 @@ def test_invalid_t_range_exits_2(capsys, tmp_path, verb, bad_t):
     code, _, err = run(capsys, verb, *target, "--t", bad_t)
     assert code == EXIT_USAGE
     assert "error" in err
+
+
+@pytest.mark.parametrize("bad_t, named", [
+    ("x", "--t expects an order or MIN:MAX, both integers, got 'x'"),
+    ("2:x", "--t expects an order or MIN:MAX, both integers, got '2:x'"),
+    ("3:", "--t expects an order or MIN:MAX, both integers, got '3:'"),
+    ("0", "--t orders must be >= 1, got '0'"),
+    ("-1:3", "--t orders must be >= 1, got '-1:3'"),
+    ("3:2", "--t MAX must be >= MIN, got '3:2'"),
+])
+@pytest.mark.parametrize("verb", ["analyze", "search"])
+def test_invalid_t_names_the_flag(capsys, verb, bad_t, named):
+    target = {"analyze": ["C~"], "search": ["--exhaustive", "3"]}[verb]
+    code, out, err = run(capsys, verb, *target, f"--t={bad_t}")
+    assert code == EXIT_USAGE
+    assert err == f"error: {named}\n" and out == ""
 
 
 class TestEnumerate:

@@ -19,6 +19,18 @@ SEARCH_SHA256 = {
     "summary": "581b60d2f826da79cdeeae5a6214d710f8cff714ea2c0a71470458b2b51d100b",
     "csv": "23426c6be50f5efd0718dba12d93c3d8c9f8b4c277db4717d20b5f46936392e3",
 }
+# Sweeps of one family of kinds each, recorded while an edge-path sweep still
+# evaluated local_vertex alongside and the cycle verdict had its own path.
+EDGE_PATH_SHA256 = {
+    "findings": "f0087e2359a5feafb990e503815034f5316a145f43b263d2a289cbdad7a260c1",
+    "summary": "edd081e764f5255802f7e3dc44462911666f0dfb3466db911cdbd11675225a73",
+    "csv": "58346900837bd59ae2fed9f3b59371b0a567525b85f835c8bf16b5f891f438f7",
+}
+CYCLE_SHA256 = {
+    "findings": "90c7205c9ba7b01abf0a38b5fdd24569cc39d0ff58ceb9805bf44c57b23f36e5",
+    "summary": "6d371d249269cf2dca8d268e3dad2b457461972f14d7345587ecc0a45c8b44c5",
+    "csv": "70accb8c6c2794c1bfe67d1ec742f470dd167fcd281a05c18de5a41cb1b8e185",
+}
 ANALYZE_SHA256 = "6aada39d65dd09a75d57d0a25941f66e08fe366d1b4df4b13fa022ed02c9f54f"
 # verify, default kinds and orders, over DENSE_GRAPHS: dense graphs on 10..12
 # vertices, where most reduced graphs repeat across orders and the cycle
@@ -67,6 +79,14 @@ def sweep_hashes(argv: list[str], tmp_path, capsys) -> dict[str, str]:
 def test_search_outputs_are_byte_identical(tmp_path, capsys):
     argv = ["search", "--exhaustive", "1,2,3,4,5,6", "--t", "1:6", "--kinds", "all", "--min-slack"]
     assert sweep_hashes(argv, tmp_path, capsys) == SEARCH_SHA256
+
+
+@pytest.mark.parametrize("options, expected", [
+    (["--t", "2:6", "--kinds", "local_edge_path"], EDGE_PATH_SHA256),
+    (["--kinds", "local_edge_cycle_conjecture,cc_cycle_classical"], CYCLE_SHA256),
+])
+def test_single_family_search_outputs_are_byte_identical(tmp_path, capsys, options, expected):
+    assert sweep_hashes(["search", "--exhaustive", "1,2,3,4,5,6", *options], tmp_path, capsys) == expected
 
 
 def test_verify_dense_outputs_are_byte_identical(tmp_path, capsys):

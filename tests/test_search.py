@@ -53,7 +53,7 @@ from cliquebounds.bounds import (
     make_report,
     wood_bound,
 )
-from cliquebounds.certificates import vertex_core_certificate
+from cliquebounds.certificates import classical_certificate, vertex_core_certificate
 from cliquebounds.cli import _parse_kinds
 from cliquebounds.graph import GraphError
 from cliquebounds.search import (
@@ -63,7 +63,6 @@ from cliquebounds.search import (
     CATEGORY_EQUALITY_INSTANCE,
     CATEGORY_MIN_SLACK,
     CSV_COLUMNS,
-    classical_certificates,
     evaluate_graph,
     findings_to_jsonl,
     rows_to_csv,
@@ -311,7 +310,7 @@ def test_evaluate_graph_matches_the_per_t_functions(corpus):
     for g in (g for level in corpus.values() for g in level):
         w = all_weights(g)
         assert w.blocks == block_decomposition(g)  # the cycle certificate's blocks when nothing is stripped
-        classical = classical_certificates(g, w, PER_ORDER_KINDS)
+        classical = {kind: classical_certificate(g, w, kind) for kind in (KIND_WOOD, KIND_CC_PATH, KIND_CC_CYCLE)}
         for order in evaluate_graph(g, range(1, 8), PER_ORDER_KINDS).orders:
             t = order.t
             count = count_cliques(g, t).total if t <= g.n else 0
@@ -377,3 +376,39 @@ def test_each_certificate_is_built_once_per_reduced_graph(monkeypatch):
                 assert len(decomposed) == len(stripped) and all(h.m < g.m for h in decomposed), write_graph6(g)
                 total_builds += len(builds)
     assert (pairs, total_builds, per_order) == (253, 359, 940)
+
+
+def test_an_edge_only_sweep_evaluates_nothing_of_the_vertex_side(monkeypatch):
+    """A sweep of local_edge_path alone builds no vertex or vertex-core
+    certificate and cross-validates nothing; with local_vertex requested
+    too, the same counters see both."""
+    import cliquebounds.search as search
+
+    calls = []
+    for module, name in ((certificates, "vertex_equality_certificate"), (certificates, "vertex_core_certificate"),
+                         (search, "cross_validate")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    source = GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5, 6))
+    result = run_sweep(source, SearchConfig(t_min=2, t_max=6, kinds=(KIND_LOCAL_EDGE_PATH,)))
+    assert result.summary["graphs"] == 208 and result.findings
+    assert calls == []
+    run_sweep(source, SearchConfig(t_min=2, t_max=6, kinds=(KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX)))
+    assert {"vertex_equality_certificate", "vertex_core_certificate", "cross_validate"} == set(calls)
+
+
+def test_edge_and_cycle_discrepancies_come_from_one_rule(monkeypatch):
+    # Both characterizations hold on every small graph, so flip their certificates to drive the path.
+    from dataclasses import replace
+
+    for name in ("edge_equality_certificate", "cycle_equality_certificate"):
+        real = getattr(certificates, name)
+        monkeypatch.setattr(certificates, name, lambda *args, real=real: replace(real(*args), holds=False))
+    for kinds in ((KIND_LOCAL_EDGE_CYCLE, KIND_LOCAL_EDGE_PATH), (KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE)):
+        result = run_sweep(GraphSource(kind="graph6_lines", lines=("C~",)), SearchConfig(t_min=2, t_max=3, kinds=kinds))
+        found = [(f.t, f.kind, f.detail) for f in result.findings if f.category == CATEGORY_CHAR_DISCREPANCY]
+        assert found == [  # exempt at t = 2, then edge before cycle whatever the request order
+            (3, KIND_LOCAL_EDGE_PATH, "equality True vs certificate False"),
+            (3, KIND_LOCAL_EDGE_CYCLE, "equality True vs block-forest certificate False"),
+        ]
+        assert all(replay_finding(f) for f in result.findings)
