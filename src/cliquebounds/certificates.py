@@ -20,24 +20,25 @@ checked on and encodes it as graph6 only when rendered.
 from one table. Each local certificate depends on t only through its
 reduced graph, and the reduced graphs of one graph are nested in t, so each
 reduced graph's key comes from a t-free table (the degrees, the core numbers
-of one core decomposition, the sorted p(e) and c(e)), and a builder
-(``vertex_equality_certificate`` and its three siblings, which stay the
-per-t oracle) runs only on an unseen key. The three classical certificates
-(``classical_certificate``) check g itself and are built once per graph.
+of one core decomposition, the sorted p(e) and c(e)), built on the first
+request for its kind, and a builder (``vertex_equality_certificate`` and its
+three siblings, which stay the per-t oracle) runs only on an unseen key. The
+three classical certificates (``classical_certificate``) check g itself and
+are built once per graph. Every structure check, a component or a block
+being a clique (on exactly r vertices), is one loop, ``_first_non_clique``.
 
-``conjecture_verdict`` and ``cross_validate`` compare the equality flag and
-the certificate of reports that were already evaluated (see
-``search.evaluate_graph``); they count nothing and build no certificate:
-the caller passes the vertex-core certificate in. The edge-path and cycle
-verdicts follow one rule, ``conjecture_verdict``, which the edge section of
-``cross_validate`` shares. For the vertex side the threshold deletion is
-iterated to its fixed point (the (t-1)-core) before the equality/certificate
-pair is compared: one deletion round can drop surviving degrees below the
-threshold again, and the characterization is only meaningful once the graph
-is stable under the reduction. Both the reduced and the unreduced
-comparisons are reported. The core needs no recount: every K_t lies inside
-the (t-1)-core, because each of its vertices has t-1 neighbours in it, so
-the core's K_t count is g's.
+``conjecture_verdict`` and ``cross_validate`` decide the verdicts from
+reports that were already evaluated (see ``search.evaluate_graph``); they
+count nothing and build no certificate: the caller passes the vertex-core
+certificate in. The edge-path and cycle verdicts follow one rule,
+``conjecture_verdict``: equality against certificate. For the vertex side
+the threshold deletion is iterated to its fixed point (the (t-1)-core)
+before the equality/certificate pair is compared: one deletion round can
+drop surviving degrees below the threshold again, and the characterization
+is only meaningful once the graph is stable under the reduction; the
+report itself carries the unreduced pair. The core needs no recount: every
+K_t lies inside the (t-1)-core, because each of its vertices has t-1
+neighbours in it, so the core's K_t count is g's.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .bounds import (
     KIND_CC_CYCLE, KIND_CC_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, KIND_WOOD, BoundReport,
@@ -59,7 +60,8 @@ VERDICT_BOTH_FAIL = "both-fail"
 VERDICT_DISCREPANCY = "discrepancy"
 VERDICT_EXEMPT = "exempt"
 
-# The kinds whose verdict is their report's conjecture_verdict, in finding order.
+# The kinds whose verdict is their report's conjecture_verdict, in finding
+# order; the local_vertex verdict, from cross_validate, comes first.
 VERDICT_KINDS = (KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE)
 
 
@@ -157,22 +159,21 @@ def _describe(kind: str, t: int) -> str:
     return _DESCRIPTIONS[kind].format(d=t - 1, t=t)
 
 
+def _first_non_clique(g: Graph, masks: Iterable[int], size: int | None = None) -> int | None:
+    """The first vertex mask that is not a clique of g (on exactly ``size`` vertices, if given), or None."""
+    for mask in masks:
+        if (size is not None and mask.bit_count() != size) or not is_clique(g, mask):
+            return mask
+    return None
+
+
 def _clique_components_certificate(
     reduced: Graph, id_map: tuple[int, ...] | None, kind: str, description: str
 ) -> EqualityCertificate:
-    evidence = None
-    holds = True
-    for comp in connected_components(reduced):
-        if not is_clique(reduced, comp):
-            holds = False
-            if id_map is None:
-                evidence = comp
-            else:
-                evidence = 0
-                for i in iter_bits(comp):
-                    evidence |= 1 << id_map[i]
-            break
-    return EqualityCertificate(kind, holds, evidence, reduced, description)
+    evidence = _first_non_clique(reduced, connected_components(reduced))
+    if evidence is not None and id_map is not None:
+        evidence = sum(1 << id_map[i] for i in iter_bits(evidence))
+    return EqualityCertificate(kind, evidence is None, evidence, reduced, description)
 
 
 def vertex_equality_certificate(g: Graph, t: int) -> EqualityCertificate:
@@ -204,14 +205,8 @@ def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> Equality
     short = w_set(g, weights, t)
     stripped = delete_edges(g, short)
     decomp = block_decomposition(stripped) if short else weights.blocks
-    evidence = None
-    holds = True
-    for mask in block_vertex_sets(decomp):
-        if not is_clique(stripped, mask):
-            holds = False
-            evidence = mask
-            break
-    return EqualityCertificate("cycle", holds, evidence, stripped, _describe("cycle", t))
+    evidence = _first_non_clique(stripped, block_vertex_sets(decomp))
+    return EqualityCertificate("cycle", evidence is None, evidence, stripped, _describe("cycle", t))
 
 
 def classical_certificate(g: Graph, weights: WeightMap, kind: str, graph6: str | None = None) -> EqualityCertificate:
@@ -246,33 +241,40 @@ class OrderCertificates:
     table is below a threshold: x_set(g, t) keeps degree >= t - 1, x_core(g, t)
     core number >= t - 1, z_set strips p(e) < t - 1 and w_set c(e) < t. So the
     dropped sets are nested in t, and the number of dropped items, one
-    bisection of the sorted table, identifies the reduced graph. A classical
-    certificate checks g itself: its table is empty, so its one key is built
-    on first request. A builder runs only on an unseen key; an order whose
-    key was seen gets that certificate with its own description.
+    bisection of the sorted table, identifies the reduced graph. A table is
+    sorted on the first request for its kind, so a kind never requested
+    costs nothing. A classical certificate checks g itself: its table is
+    empty, so its one key is built on first request. A builder runs only on
+    an unseen key; an order whose key was seen gets that certificate with its
+    own description.
     """
 
     def __init__(self, g: Graph, weights: WeightMap, graph6: str | None = None) -> None:
-        # kind: (certificate name, sorted t-free table, threshold offset, lowest order, builder of order t)
-        self._rows: dict[str, tuple[str, list[int], int, int, Callable[[int], EqualityCertificate]]] = {
-            KIND_LOCAL_VERTEX: ("vertex", sorted(g.degrees()), -1, 1, lambda t: vertex_equality_certificate(g, t)),
-            "vertex-core": ("vertex-core", sorted(core_numbers(g)), -1, 1, lambda t: vertex_core_certificate(g, t)),
+        # kind: (certificate name, t-free values, threshold offset, lowest order, builder of order t)
+        self._rows: dict[str, tuple[str, Callable[[], Iterable[int]], int, int, Callable[[int], EqualityCertificate]]]
+        self._rows = {
+            KIND_LOCAL_VERTEX: ("vertex", g.degrees, -1, 1, lambda t: vertex_equality_certificate(g, t)),
+            "vertex-core": ("vertex-core", lambda: core_numbers(g), -1, 1, lambda t: vertex_core_certificate(g, t)),
             KIND_LOCAL_EDGE_PATH: (
-                "edge", sorted(weights.p.values()), -1, 2, lambda t: edge_equality_certificate(g, weights, t)
+                "edge", weights.p.values, -1, 2, lambda t: edge_equality_certificate(g, weights, t)
             ),
             KIND_LOCAL_EDGE_CYCLE: (
-                "cycle", sorted(weights.c.values()), 0, 2, lambda t: cycle_equality_certificate(g, weights, t)
+                "cycle", weights.c.values, 0, 2, lambda t: cycle_equality_certificate(g, weights, t)
             ),
         }
         for kind, name, lowest in ((KIND_WOOD, "wood", 1), (KIND_CC_PATH, "cc_path", 2), (KIND_CC_CYCLE, "cc_cycle", 2)):
-            self._rows[kind] = (name, [], 0, lowest, lambda t, kind=kind: classical_certificate(g, weights, kind, graph6))
+            self._rows[kind] = (name, tuple, 0, lowest, lambda t, kind=kind: classical_certificate(g, weights, kind, graph6))
+        self._tables: dict[str, list[int]] = {}
         self._built: dict[tuple[str, int], EqualityCertificate] = {}
 
     def of(self, kind: str, t: int) -> EqualityCertificate:
         """The certificate of a per-order bound kind at order t."""
-        name, table, offset, lowest, build = self._rows[kind]
+        name, values, offset, lowest, build = self._rows[kind]
         if t < lowest:
             raise ValueError(f"clique order must be >= {lowest}, got {t}")
+        table = self._tables.get(kind)
+        if table is None:
+            table = self._tables[kind] = sorted(values())
         key = bisect_left(table, t + offset)
         cert = self._built.get((kind, key))
         if cert is None:
@@ -295,76 +297,28 @@ def _verdict(equality: bool, certificate: bool) -> str:
 
 @dataclass
 class CrossValidation:
-    """Equality flags versus certificates for the vertex and edge theorems at one t.
+    """The vertex characterization at one t, tested on the (t-1)-core.
 
-    The vertex verdict compares the pair evaluated on the (t-1)-core; the
-    unreduced pair is carried alongside. The paper claims the vertex
-    characterization for t >= 2 and the edge one for t >= 3, so verdicts
-    outside those ranges are "exempt".
+    The paper claims it for t >= 2, so below that the verdict is "exempt".
     """
 
-    t: int
-    vertex_equality: bool
-    vertex_certificate: bool
-    vertex_core_equality: bool
-    vertex_core_certificate: bool
     vertex_core: Graph
     vertex_core_bound: Fraction
+    vertex_core_equality: bool
+    vertex_core_certificate: bool
     vertex_verdict: str
-    edge_equality: bool | None
-    edge_certificate: bool | None
-    edge_verdict: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "vertex": {
-                "equality": self.vertex_equality,
-                "certificate": self.vertex_certificate,
-                "core_equality": self.vertex_core_equality,
-                "core_certificate": self.vertex_core_certificate,
-                "core_graph6": write_graph6(self.vertex_core),
-                "verdict": self.vertex_verdict,
-            },
-            "edge": {
-                "equality": self.edge_equality,
-                "certificate": self.edge_certificate,
-                "verdict": self.edge_verdict,
-            },
-        }
 
 
-def cross_validate(
-    vertex: BoundReport, core_cert: EqualityCertificate, edge: BoundReport | None = None
-) -> CrossValidation:
-    """Test the equality characterizations on one graph at one clique order.
+def cross_validate(vertex: BoundReport, core_cert: EqualityCertificate) -> CrossValidation:
+    """Test the vertex characterization on one graph at one clique order.
 
-    ``vertex`` and ``edge`` are the local_vertex and local_edge_path reports
-    already evaluated at that order, ``core_cert`` the graph's vertex-core
-    certificate there; the edge pair is exempt without an edge report.
+    ``vertex`` is the local_vertex report already evaluated at that order,
+    ``core_cert`` the graph's vertex-core certificate there.
     """
-    t = vertex.t
-    core_bound = local_vertex_bound(core_cert.reduced, t)
+    core_bound = local_vertex_bound(core_cert.reduced, vertex.t)
     core_equality = equals_count(vertex.count, core_bound)
-    vertex_verdict = _verdict(core_equality, core_cert.holds) if t >= 2 else VERDICT_EXEMPT
-    if edge is None:
-        edge_equality = edge_certificate = None
-        edge_verdict = VERDICT_EXEMPT
-    else:
-        edge_equality, edge_certificate, edge_verdict = edge.equality, edge.certificate.holds, conjecture_verdict(edge)
-    return CrossValidation(
-        t=t,
-        vertex_equality=vertex.equality,
-        vertex_certificate=vertex.certificate.holds,
-        vertex_core_equality=core_equality,
-        vertex_core_certificate=core_cert.holds,
-        vertex_core=core_cert.reduced,
-        vertex_core_bound=core_bound,
-        vertex_verdict=vertex_verdict,
-        edge_equality=edge_equality,
-        edge_certificate=edge_certificate,
-        edge_verdict=edge_verdict,
-    )
+    verdict = _verdict(core_equality, core_cert.holds) if vertex.t >= 2 else VERDICT_EXEMPT
+    return CrossValidation(core_cert.reduced, core_bound, core_equality, core_cert.holds, verdict)
 
 
 def conjecture_verdict(report: BoundReport) -> str:
@@ -378,25 +332,14 @@ def conjecture_verdict(report: BoundReport) -> str:
 
 def is_disjoint_clique_union(g: Graph, size: int) -> bool:
     """True iff every component is a clique on exactly ``size`` vertices."""
-    return all(
-        comp.bit_count() == size and is_clique(g, comp) for comp in connected_components(g)
-    )
+    return _first_non_clique(g, connected_components(g), size) is None
 
 
 def is_clique_union_with_isolated(g: Graph, size: int) -> bool:
     """True iff every component is either K_size or an isolated vertex."""
-    for comp in connected_components(g):
-        k = comp.bit_count()
-        if k == 1:
-            continue
-        if k != size or not is_clique(g, comp):
-            return False
-    return True
+    return _first_non_clique(g, (comp for comp in connected_components(g) if comp.bit_count() > 1), size) is None
 
 
 def is_block_forest_of_kr(g: Graph, r: int, decomp: BlockDecomposition) -> bool:
     """True iff every block of g's decomposition is a clique on exactly r vertices (isolated vertices allowed)."""
-    for mask in block_vertex_sets(decomp):
-        if mask.bit_count() != r or not is_clique(g, mask):
-            return False
-    return True
+    return _first_non_clique(g, block_vertex_sets(decomp), r) is None

@@ -17,6 +17,8 @@ from fractions import Fraction
 from .bounds import (
     BOUND_KINDS,
     DEFAULT_SWEEP_KINDS,
+    KIND_LOCAL_EDGE_PATH,
+    KIND_LOCAL_VERTEX,
     KIND_LOCAL_VERTEX_TOTAL,
     KIND_WOOD_TOTAL,
     PER_ORDER_KINDS,
@@ -25,6 +27,7 @@ from .bounds import (
     make_report,
     wood_total_bound,
 )
+from .certificates import VERDICT_EXEMPT
 from .cliques import count_all_cliques, count_cliques
 from .enumeration import enumerate_graphs
 from .graph import Graph, GraphError, parse_edge_list_text, parse_graph6, write_graph6
@@ -110,6 +113,31 @@ def reports_for_t(order: OrderEvaluation) -> list[dict]:
     return [r.to_json_dict() for r in order.reports.values()]
 
 
+def cross_validation_for_t(order: OrderEvaluation) -> dict:
+    """The characterization section of one order: the local_vertex pair, unreduced
+    and on the (t-1)-core, and the local_edge_path pair, each with its verdict.
+
+    The edge section is null and exempt where local_edge_path is undefined (t = 1).
+    """
+    vertex, cross, edge = order.reports[KIND_LOCAL_VERTEX], order.cross, order.reports.get(KIND_LOCAL_EDGE_PATH)
+    return {
+        "t": order.t,
+        "vertex": {
+            "equality": vertex.equality,
+            "certificate": vertex.certificate.holds,
+            "core_equality": cross.vertex_core_equality,
+            "core_certificate": cross.vertex_core_certificate,
+            "core_graph6": write_graph6(cross.vertex_core),
+            "verdict": order.verdicts[KIND_LOCAL_VERTEX],
+        },
+        "edge": {
+            "equality": None if edge is None else edge.equality,
+            "certificate": None if edge is None else edge.certificate.holds,
+            "verdict": order.verdicts.get(KIND_LOCAL_EDGE_PATH, VERDICT_EXEMPT),
+        },
+    }
+
+
 def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXACT_CAP) -> dict:
     graph6 = write_graph6(g)
     evaluation = evaluate_graph(g, ts, PER_ORDER_KINDS, weight_cap, graph6)
@@ -140,7 +168,7 @@ def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXAC
         },
         "t_values": ts,
         "reports": [r for order in evaluation.orders for r in reports_for_t(order)],
-        "cross_validation": [order.cross.to_json_dict() for order in evaluation.orders],
+        "cross_validation": [cross_validation_for_t(order) for order in evaluation.orders],
         "dominance": [order.dominance.to_json_dict() for order in evaluation.orders if order.dominance is not None],
         "totals": [r.to_json_dict() for r in totals],
     }

@@ -6,13 +6,14 @@ graph: one clique census gives every K_t count, ``bounds.order_bounds``
 every order's bound table, and ``certificates.OrderCertificates`` builds
 every certificate once per distinct reduced graph. Per requested order t
 it pairs each requested kind's bound with that kind's certificate through
-``evaluate_kind``, then asks ``certificates`` for the verdicts of those
-reports (the cross-validation when local_vertex is requested, the
-edge-path and cycle verdicts) and ``bounds`` for the dominance record of
-the table. Nothing is evaluated that was not requested. ``analyze`` renders
-that result, ``sweep_worker`` builds each finding from it once, and
-``replay_finding`` re-evaluates a witness through ``sweep_worker`` and
-looks for the finding among the ones it builds.
+``evaluate_kind``, then asks ``certificates`` for the verdict of each
+characterization among those reports, each decided once (the local_vertex
+one from the vertex-core check, the edge-path and cycle ones from their
+reports), and ``bounds`` for the dominance record of the table. Nothing is
+evaluated that was not requested. ``analyze`` renders that result,
+``sweep_worker`` builds each finding from it once, and ``replay_finding``
+re-evaluates a witness through ``sweep_worker`` and looks for the finding
+among the ones it builds.
 
 Workers see one graph at a time (parsed once by the source, with its graph6
 line, which doubles as the witness string) and return its findings; the
@@ -34,7 +35,6 @@ from typing import Iterable, Iterator
 from .bounds import (
     DEFAULT_SWEEP_KINDS,
     KIND_LOCAL_EDGE_CYCLE,
-    KIND_LOCAL_EDGE_PATH,
     KIND_LOCAL_VERTEX,
     PER_ORDER_KINDS,
     BoundReport,
@@ -196,8 +196,8 @@ class OrderEvaluation:
     t: int
     count: int
     reports: dict[str, BoundReport]  # the evaluated kinds defined at t, in request order
-    cross: CrossValidation | None  # when local_vertex was evaluated
-    verdicts: dict[str, str]  # the conjecture_verdict of each evaluated edge-path or cycle kind
+    cross: CrossValidation | None  # the vertex-core check, when local_vertex was evaluated
+    verdicts: dict[str, str]  # the verdict of each evaluated local_vertex, edge-path or cycle kind, in that order
     dominance: DominanceRecord | None  # for t >= 2
 
 
@@ -232,10 +232,9 @@ def evaluate_graph(
         bounds = tables[t]
         reports = {kind: evaluate_kind(certificates, count, t, kind, bounds[kind]) for kind in kinds if kind in bounds}
         vertex = reports.get(KIND_LOCAL_VERTEX)
-        cross = None
-        if vertex is not None:
-            cross = cross_validate(vertex, certificates.vertex_core(t), reports.get(KIND_LOCAL_EDGE_PATH))
-        verdicts = {kind: conjecture_verdict(reports[kind]) for kind in VERDICT_KINDS if kind in reports}
+        cross = None if vertex is None else cross_validate(vertex, certificates.vertex_core(t))
+        verdicts = {} if cross is None else {KIND_LOCAL_VERTEX: cross.vertex_verdict}
+        verdicts.update((kind, conjecture_verdict(reports[kind])) for kind in VERDICT_KINDS if kind in reports)
         dominance = compare_local_vs_classical(g, weights, t, bounds) if t >= 2 else None
         orders.append(OrderEvaluation(t, count, reports, cross, verdicts, dominance))
     return GraphEvaluation(weights, census, orders)
@@ -272,17 +271,18 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
             else:
                 category, detail = CATEGORY_MIN_SLACK, "smallest positive slack for this (n,t,kind)"
             evals.append(finding(category, t, kind, count, r.bound, r.slack, r.certificate.holds, detail))
-        if cv is not None and cv.vertex_verdict == VERDICT_DISCREPANCY:
-            bound, cert = cv.vertex_core_bound, cv.vertex_core_certificate
-            detail = f"core equality {cv.vertex_core_equality} vs core certificate {cert} (core {write_graph6(cv.vertex_core)})"
-            discrepancies.append(finding(CATEGORY_CHAR_DISCREPANCY, t, KIND_LOCAL_VERTEX, count, bound, bound - count, cert, detail))
         for kind, verdict in order.verdicts.items():
-            if verdict == VERDICT_DISCREPANCY:
+            if verdict != VERDICT_DISCREPANCY:
+                continue
+            if kind == KIND_LOCAL_VERTEX:
+                bound, cert = cv.vertex_core_bound, cv.vertex_core_certificate
+                slack = bound - count
+                detail = f"core equality {cv.vertex_core_equality} vs core certificate {cert} (core {write_graph6(cv.vertex_core)})"
+            else:
                 r, forest = reports[kind], "block-forest " if kind == KIND_LOCAL_EDGE_CYCLE else ""
-                detail = f"equality {r.equality} vs {forest}certificate {r.certificate.holds}"
-                discrepancies.append(
-                    finding(CATEGORY_CHAR_DISCREPANCY, t, kind, count, r.bound, r.slack, r.certificate.holds, detail)
-                )
+                bound, slack, cert = r.bound, r.slack, r.certificate.holds
+                detail = f"equality {r.equality} vs {forest}certificate {cert}"
+            discrepancies.append(finding(CATEGORY_CHAR_DISCREPANCY, t, kind, count, bound, slack, cert, detail))
         dom = order.dominance
         pairs = []
         if dom is not None and not dom.vertex_ok:

@@ -11,7 +11,7 @@ import json
 import os
 import time
 
-import cliquebounds.cli  # noqa: F401 - the tracer wraps the modules this import loads
+import cliquebounds.cli  # the tracer wraps the modules this import loads
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,3 +32,20 @@ def test_every_declared_per_layer_metric_is_produced():
     produced = tracer.metrics(graphs=1, graph_t=1, evals=1, overhead_s=0.0)
     missing = [name for name in declared if name not in produced]
     assert missing == [], f"absent functions: {tracer.absent}"
+
+
+def test_traced_builders_and_verdicts_are_called(capsys):
+    """A refactor that calls a traced function through a reference the tracer
+    cannot patch (one captured at import or in a default argument) leaves its
+    count at 0; analyze of the Petersen graph calls each of them."""
+    tracer = _load_tracer().Tracer(time.thread_time_ns)
+    with tracer:
+        assert cliquebounds.cli.main(["analyze", "IheA@GUAo", "--format", "json"]) == 0
+    capsys.readouterr()
+    table = tracer.table()
+    names = [f"certificates.{fn}" for fn in (
+        "vertex_equality_certificate", "vertex_core_certificate", "edge_equality_certificate",
+        "cycle_equality_certificate", "cross_validate", "conjecture_verdict",
+    )] + ["search.evaluate_kind"]
+    uncalled = [name for name in names if table[name] == "absent" or table[name]["calls"] == 0]
+    assert uncalled == []

@@ -37,6 +37,7 @@ from cliquebounds.certificates import (
     VERDICT_DISCREPANCY,
     VERDICT_EXEMPT,
     OrderCertificates,
+    conjecture_verdict,
     is_block_forest_of_kr,
     is_clique_union_with_isolated,
     is_disjoint_clique_union,
@@ -218,14 +219,15 @@ class TestReductionLemmas:
 
 
 def cross_validate_at(g, t):
-    """cross_validate on the vertex and edge-path reports, with an independent count."""
+    """The local_vertex report, its cross_validate and the local_edge_path
+    verdict at order t, with an independent count."""
     w = all_weights(g)
     count = count_cliques(g, t).total
     bounds = order_bounds(g, w, [t])[t]
     certificates = OrderCertificates(g, w)
     vertex = evaluate_kind(certificates, count, t, KIND_LOCAL_VERTEX, bounds[KIND_LOCAL_VERTEX])
     edge = evaluate_kind(certificates, count, t, KIND_LOCAL_EDGE_PATH, bounds[KIND_LOCAL_EDGE_PATH])
-    return cross_validate(vertex, vertex_core_certificate(g, t), edge)
+    return vertex, cross_validate(vertex, vertex_core_certificate(g, t)), conjecture_verdict(edge)
 
 
 def test_order_certificates_reject_orders_below_each_kind():
@@ -240,37 +242,37 @@ def test_order_certificates_reject_orders_below_each_kind():
 
 class TestCrossValidation:
     def test_k4_both_hold(self):
-        cv = cross_validate_at(K(4), 3)
+        _, cv, edge_verdict = cross_validate_at(K(4), 3)
         assert cv.vertex_verdict == VERDICT_BOTH_HOLD
-        assert cv.edge_verdict == VERDICT_BOTH_HOLD
+        assert edge_verdict == VERDICT_BOTH_HOLD
 
     def test_p3_order_two_vertex_discrepancy(self):
-        cv = cross_validate_at(path(3), 2)
-        assert cv.vertex_equality is True
-        assert cv.vertex_certificate is False
+        vertex, cv, edge_verdict = cross_validate_at(path(3), 2)
+        assert vertex.equality is True
+        assert vertex.certificate.holds is False
         assert cv.vertex_verdict == VERDICT_DISCREPANCY
-        assert cv.edge_verdict == VERDICT_EXEMPT
+        assert edge_verdict == VERDICT_EXEMPT
 
     def test_c5_both_fail(self):
-        cv = cross_validate_at(cycle(5), 3)
+        _, cv, edge_verdict = cross_validate_at(cycle(5), 3)
         assert cv.vertex_verdict == VERDICT_BOTH_FAIL
-        assert cv.edge_verdict == VERDICT_BOTH_FAIL
+        assert edge_verdict == VERDICT_BOTH_FAIL
 
     def test_unreduced_pair_reported_alongside(self):
         # bound 1/3 > count 0 while the one-pass certificate holds; the core
         # comparison resolves the mismatch
         p3 = path(3)
-        cv = cross_validate_at(p3, 3)
+        vertex, cv, _ = cross_validate_at(p3, 3)
         assert local_vertex_bound(p3, 3) == Fraction(1, 3)
-        assert cv.vertex_equality is False
-        assert cv.vertex_certificate is True
+        assert vertex.equality is False
+        assert vertex.certificate.holds is True
         assert cv.vertex_core_equality is True and cv.vertex_core_certificate is True
         assert cv.vertex_verdict == VERDICT_BOTH_HOLD
 
     def test_vanishing_orders_are_both_hold(self):
-        cv = cross_validate_at(K(3), 5)
+        _, cv, edge_verdict = cross_validate_at(K(3), 5)
         assert cv.vertex_verdict == VERDICT_BOTH_HOLD
-        assert cv.edge_verdict == VERDICT_BOTH_HOLD
+        assert edge_verdict == VERDICT_BOTH_HOLD
 
     def test_core_certificate_matches_core_components(self, corpus6):
         for g in corpus6:

@@ -32,6 +32,12 @@ CYCLE_SHA256 = {
     "csv": "70accb8c6c2794c1bfe67d1ec742f470dd167fcd281a05c18de5a41cb1b8e185",
 }
 ANALYZE_SHA256 = "6aada39d65dd09a75d57d0a25941f66e08fe366d1b4df4b13fa022ed02c9f54f"
+# analyze's human output over the same graphs and orders, and the stdout of
+# `search --exhaustive 1,...,6 --t 1:6 --format json`, recorded while
+# cross_validate still copied the vertex and edge-path reports and decided
+# the edge-path verdict a second time.
+ANALYZE_HUMAN_SHA256 = "bc9409e13891424bb1f4878b1188953115f9577188cf97bb8260d069ccd843ab"
+SEARCH_JSON_STDOUT_SHA256 = "350669aa3525d882109223fa7c940f4055bb90f9b1042dc3aac1e81cf147ed83"
 # verify, default kinds and orders, over DENSE_GRAPHS: dense graphs on 10..12
 # vertices, where most reduced graphs repeat across orders and the cycle
 # certificate's stripped graph is usually g itself.
@@ -89,6 +95,21 @@ def test_single_family_search_outputs_are_byte_identical(tmp_path, capsys, optio
     assert sweep_hashes(["search", "--exhaustive", "1,2,3,4,5,6", *options], tmp_path, capsys) == expected
 
 
+def test_edge_only_search_runs_no_core_decomposition(tmp_path, capsys, monkeypatch):
+    """Only the vertex-core certificate reads the core numbers, so a sweep of
+    local_edge_path alone decomposes no graph and keeps its outputs."""
+    import cliquebounds.certificates as certificates
+
+    calls = []
+    real = certificates.core_numbers
+    monkeypatch.setattr(certificates, "core_numbers", lambda g: calls.append(g) or real(g))
+    argv = ["search", "--exhaustive", "1,2,3,4,5,6", "--t", "2:6", "--kinds", "local_edge_path"]
+    assert sweep_hashes(argv, tmp_path, capsys) == EDGE_PATH_SHA256
+    assert calls == []
+    sweep_hashes(["search", "--exhaustive", "1,2,3", "--t", "2:3", "--kinds", "local_vertex"], tmp_path, capsys)
+    assert len(calls) == 7  # one per graph on up to 3 vertices
+
+
 def test_verify_dense_outputs_are_byte_identical(tmp_path, capsys):
     source = tmp_path / "dense.g6"
     source.write_text("".join(write_graph6(g) + "\n" for g in DENSE_GRAPHS))
@@ -96,14 +117,28 @@ def test_verify_dense_outputs_are_byte_identical(tmp_path, capsys):
     assert sweep_hashes(["verify", str(source)], tmp_path, capsys) == VERIFY_DENSE_SHA256
 
 
-def test_analyze_json_is_byte_identical(capsys):
+def analyze_small_hash(fmt: str, capsys) -> str:
+    """The hash of analyze's output over every graph with n <= 5 at t = 1..6."""
     lines = [write_graph6(g) for level in enumerate_levels(range(1, 6)) for g in level]
     assert "C~" in lines and "D~{" in lines
     out = []
     for line in lines:
-        assert main(["analyze", line, "--format", "json", "--t", "1:6"]) == EXIT_OK
+        assert main(["analyze", line, "--format", fmt, "--t", "1:6"]) == EXIT_OK
         out.append(capsys.readouterr().out)
-    assert sha256("".join(out).encode("utf-8")) == ANALYZE_SHA256
+    return sha256("".join(out).encode("utf-8"))
+
+
+def test_analyze_json_is_byte_identical(capsys):
+    assert analyze_small_hash("json", capsys) == ANALYZE_SHA256
+
+
+def test_analyze_human_is_byte_identical(capsys):
+    assert analyze_small_hash("human", capsys) == ANALYZE_HUMAN_SHA256
+
+
+def test_search_json_stdout_is_byte_identical(capsys):
+    assert main(["search", "--exhaustive", "1,2,3,4,5,6", "--t", "1:6", "--format", "json"]) == EXIT_OK
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == SEARCH_JSON_STDOUT_SHA256
 
 
 @pytest.mark.parametrize("n, lines", [(7, 1044), (8, 12346)])

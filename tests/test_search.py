@@ -53,7 +53,7 @@ from cliquebounds.bounds import (
     make_report,
     wood_bound,
 )
-from cliquebounds.certificates import classical_certificate, vertex_core_certificate
+from cliquebounds.certificates import VERDICT_KINDS, classical_certificate, conjecture_verdict, vertex_core_certificate
 from cliquebounds.cli import _parse_kinds
 from cliquebounds.graph import GraphError
 from cliquebounds.search import (
@@ -304,9 +304,10 @@ def test_dominance_violation_is_reported_and_replays(monkeypatch):
 
 
 def test_evaluate_graph_matches_the_per_t_functions(corpus):
-    """Every report, cross-validation and dominance record of ``evaluate_graph``,
-    over every graph with n <= 7 at t = 1..7 and all six per-order kinds,
-    equals what the per-t bound functions and certificate builders give."""
+    """Every report, cross-validation, verdict and dominance record of
+    ``evaluate_graph``, over every graph with n <= 7 at t = 1..7 and all six
+    per-order kinds, equals what the per-t bound functions and certificate
+    builders give."""
     for g in (g for level in corpus.values() for g in level):
         w = all_weights(g)
         assert w.blocks == block_decomposition(g)  # the cycle certificate's blocks when nothing is stripped
@@ -326,8 +327,10 @@ def test_evaluate_graph_matches_the_per_t_functions(corpus):
             reports = {kind: make_report(kind, t, count, *expected[kind]) for kind in PER_ORDER_KINDS if kind in expected}
             assert order.count == count
             assert list(order.reports.items()) == list(reports.items()), (write_graph6(g), t)
-            edge = reports.get(KIND_LOCAL_EDGE_PATH)
-            assert order.cross == cross_validate(reports[KIND_LOCAL_VERTEX], vertex_core_certificate(g, t), edge)
+            assert order.cross == cross_validate(reports[KIND_LOCAL_VERTEX], vertex_core_certificate(g, t))
+            verdicts = {KIND_LOCAL_VERTEX: order.cross.vertex_verdict}
+            verdicts.update((kind, conjecture_verdict(reports[kind])) for kind in VERDICT_KINDS if kind in reports)
+            assert list(order.verdicts.items()) == list(verdicts.items())
             bounds = {kind: r.bound for kind, r in reports.items()}
             assert order.dominance == (compare_local_vs_classical(g, w, t, bounds) if t >= 2 else None)
 
@@ -395,6 +398,36 @@ def test_an_edge_only_sweep_evaluates_nothing_of_the_vertex_side(monkeypatch):
     assert calls == []
     run_sweep(source, SearchConfig(t_min=2, t_max=6, kinds=(KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX)))
     assert {"vertex_equality_certificate", "vertex_core_certificate", "cross_validate"} == set(calls)
+
+
+def test_each_verdict_is_decided_once_per_graph_and_order(monkeypatch):
+    """Over every graph with n <= 6 at the default kinds and orders, the
+    edge-path and cycle verdicts are decided once per evaluation of their kind,
+    and the vertex-core check runs once per (graph, t) where local_vertex is
+    evaluated."""
+    from collections import Counter
+
+    import cliquebounds.search as search
+
+    verdicts, crosses = Counter(), []
+    real_verdict, real_cross = certificates.conjecture_verdict, certificates.cross_validate
+
+    def verdict(report):
+        verdicts[report.kind] += 1
+        return real_verdict(report)
+
+    def cross(*args):
+        crosses.append(args[0].t)
+        return real_cross(*args)
+
+    for module in (certificates, search):
+        monkeypatch.setattr(module, "conjecture_verdict", verdict)
+        monkeypatch.setattr(module, "cross_validate", cross)
+    result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5, 6)), SearchConfig(collect_rows=True))
+    evaluated = Counter(f.kind for f in result.rows)
+    assert evaluated[KIND_LOCAL_EDGE_PATH] > 0 and evaluated[KIND_LOCAL_EDGE_CYCLE] > 0
+    assert verdicts == {kind: evaluated[kind] for kind in (KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE)}
+    assert len(crosses) == evaluated[KIND_LOCAL_VERTEX] > 0
 
 
 def test_edge_and_cycle_discrepancies_come_from_one_rule(monkeypatch):
