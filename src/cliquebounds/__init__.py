@@ -25,13 +25,13 @@ from .bounds import (
     wood_total_bound,
 )
 from .certificates import (
-    CrossValidation,
     EqualityCertificate,
     OrderCertificates,
     core_numbers,
     cross_validate,
     cycle_equality_certificate,
     edge_equality_certificate,
+    is_block_forest,
     vertex_equality_certificate,
     w_set,
     x_core,
@@ -84,7 +84,6 @@ from .weights import (
     WeightMap,
     all_weights,
     block_decomposition,
-    is_block_forest,
     longest_cycle_through_edge,
     longest_path_through_edge,
 )

@@ -27,30 +27,29 @@ three classical certificates (``classical_certificate``) check g itself and
 are built once per graph. Every structure check, a component or a block
 being a clique (on exactly r vertices), is one loop, ``_first_non_clique``.
 
-``conjecture_verdict`` and ``cross_validate`` decide the verdicts from
-reports that were already evaluated (see ``search.evaluate_graph``); they
-count nothing and build no certificate: the caller passes the vertex-core
-certificate in. The edge-path and cycle verdicts follow one rule,
-``conjecture_verdict``: equality against certificate. For the vertex side
-the threshold deletion is iterated to its fixed point (the (t-1)-core)
-before the equality/certificate pair is compared: one deletion round can
-drop surviving degrees below the threshold again, and the characterization
-is only meaningful once the graph is stable under the reduction; the
-report itself carries the unreduced pair. The core needs no recount: every
-K_t lies inside the (t-1)-core, because each of its vertices has t-1
-neighbours in it, so the core's K_t count is g's.
+Every characterization verdict follows one rule, ``conjecture_verdict``:
+equality against certificate in a report that was already evaluated (see
+``search.evaluate_graph``), exempt below the order from which the paper
+claims it (``VERDICT_KINDS``). It counts nothing and builds no certificate.
+The vertex side is judged on the (t-1)-core, where the threshold deletion
+reaches its fixed point: one deletion round can drop surviving degrees below
+the threshold again, and the characterization is only meaningful once the
+graph is stable under the reduction. ``cross_validate`` makes that core
+report from the local_vertex report, which keeps the unreduced pair, and
+the vertex-core certificate the caller passes in. The core needs no
+recount: every K_t lies inside the (t-1)-core, because each of its vertices
+has t-1 neighbours in it, so the core's K_t count is g's.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .bounds import (
     KIND_CC_CYCLE, KIND_CC_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, KIND_WOOD, BoundReport,
-    classical_cycle_r, classical_path_r, equals_count, local_vertex_bound,
+    classical_cycle_r, classical_path_r, local_vertex_bound, make_report,
 )
 from .graph import Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits, write_graph6
 from .weights import BlockDecomposition, WeightMap, block_decomposition, block_vertex_sets
@@ -60,9 +59,9 @@ VERDICT_BOTH_FAIL = "both-fail"
 VERDICT_DISCREPANCY = "discrepancy"
 VERDICT_EXEMPT = "exempt"
 
-# The kinds whose verdict is their report's conjecture_verdict, in finding
-# order; the local_vertex verdict, from cross_validate, comes first.
-VERDICT_KINDS = (KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE)
+# The kinds with a characterization verdict, in finding order, each with the
+# order from which the paper claims it; local_vertex is judged on its core report.
+VERDICT_KINDS = {KIND_LOCAL_VERTEX: 2, KIND_LOCAL_EDGE_PATH: 3, KIND_LOCAL_EDGE_CYCLE: 3}
 
 
 @dataclass
@@ -283,51 +282,29 @@ class OrderCertificates:
             cert = EqualityCertificate(name, cert.holds, cert.evidence, cert.reduced, _describe(name, t))
         return cert
 
-    def vertex_core(self, t: int) -> EqualityCertificate:
-        return self.of("vertex-core", t)
 
-
-def _verdict(equality: bool, certificate: bool) -> str:
-    if equality and certificate:
-        return VERDICT_BOTH_HOLD
-    if not equality and not certificate:
-        return VERDICT_BOTH_FAIL
-    return VERDICT_DISCREPANCY
-
-
-@dataclass
-class CrossValidation:
-    """The vertex characterization at one t, tested on the (t-1)-core.
-
-    The paper claims it for t >= 2, so below that the verdict is "exempt".
-    """
-
-    vertex_core: Graph
-    vertex_core_bound: Fraction
-    vertex_core_equality: bool
-    vertex_core_certificate: bool
-    vertex_verdict: str
-
-
-def cross_validate(vertex: BoundReport, core_cert: EqualityCertificate) -> CrossValidation:
-    """Test the vertex characterization on one graph at one clique order.
+def cross_validate(vertex: BoundReport, core_cert: EqualityCertificate) -> BoundReport:
+    """The local_vertex report of one graph at one order, tested on its (t-1)-core.
 
     ``vertex`` is the local_vertex report already evaluated at that order,
     ``core_cert`` the graph's vertex-core certificate there.
     """
-    core_bound = local_vertex_bound(core_cert.reduced, vertex.t)
-    core_equality = equals_count(vertex.count, core_bound)
-    verdict = _verdict(core_equality, core_cert.holds) if vertex.t >= 2 else VERDICT_EXEMPT
-    return CrossValidation(core_cert.reduced, core_bound, core_equality, core_cert.holds, verdict)
+    bound = local_vertex_bound(core_cert.reduced, vertex.t)
+    return make_report(KIND_LOCAL_VERTEX, vertex.t, vertex.count, bound, core_cert)
 
 
 def conjecture_verdict(report: BoundReport) -> str:
-    """Equality versus the certificate of an evaluated edge-path or cycle report.
+    """Equality versus certificate of an evaluated report of a ``VERDICT_KINDS`` kind.
 
-    The paper claims the edge-path characterization for t >= 3 and
-    conjectures the cycle one there; below t = 3 the verdict is "exempt".
+    Below the order from which the paper claims the characterization (t = 2
+    for the vertex core, t = 3 for the edge-path one and the cycle
+    conjecture) the verdict is "exempt".
     """
-    return _verdict(report.equality, report.certificate.holds) if report.t >= 3 else VERDICT_EXEMPT
+    if report.t < VERDICT_KINDS[report.kind]:
+        return VERDICT_EXEMPT
+    if report.equality != report.certificate.holds:
+        return VERDICT_DISCREPANCY
+    return VERDICT_BOTH_HOLD if report.equality else VERDICT_BOTH_FAIL
 
 
 def is_disjoint_clique_union(g: Graph, size: int) -> bool:
@@ -343,3 +320,8 @@ def is_clique_union_with_isolated(g: Graph, size: int) -> bool:
 def is_block_forest_of_kr(g: Graph, r: int, decomp: BlockDecomposition) -> bool:
     """True iff every block of g's decomposition is a clique on exactly r vertices (isolated vertices allowed)."""
     return _first_non_clique(g, block_vertex_sets(decomp), r) is None
+
+
+def is_block_forest(g: Graph, decomp: BlockDecomposition) -> bool:
+    """True iff every block of g's decomposition induces a clique."""
+    return _first_non_clique(g, block_vertex_sets(decomp)) is None

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .bounds import (
     BOUND_KINDS,
@@ -27,7 +28,7 @@ from .bounds import (
     make_report,
     wood_total_bound,
 )
-from .certificates import VERDICT_EXEMPT
+from .certificates import VERDICT_EXEMPT, is_block_forest
 from .cliques import count_all_cliques, count_cliques
 from .enumeration import enumerate_graphs
 from .graph import Graph, GraphError, parse_edge_list_text, parse_graph6, write_graph6
@@ -40,6 +41,7 @@ from .oracles import (
     naive_count_cliques,
 )
 from .search import (
+    CATEGORIES,
     CATEGORY_BOUND_VIOLATION,
     GraphSource,
     OrderEvaluation,
@@ -51,7 +53,7 @@ from .search import (
     run_sweep,
     summary_to_json,
 )
-from .weights import DEFAULT_EXACT_CAP, CapExceededError, is_block_forest
+from .weights import DEFAULT_EXACT_CAP, CapExceededError
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -62,11 +64,11 @@ PARALLELISM_ENV = "CLIQUEBOUNDS_PARALLELISM"
 
 
 def _default_parallelism() -> int:
-    raw = os.environ.get(PARALLELISM_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """The worker count from $CLIQUEBOUNDS_PARALLELISM; 1 when it is unset or empty."""
+    raw = os.environ.get(PARALLELISM_ENV) or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{PARALLELISM_ENV} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def load_single_graph(spec: str, edge_list: bool) -> Graph:
@@ -119,15 +121,15 @@ def cross_validation_for_t(order: OrderEvaluation) -> dict:
 
     The edge section is null and exempt where local_edge_path is undefined (t = 1).
     """
-    vertex, cross, edge = order.reports[KIND_LOCAL_VERTEX], order.cross, order.reports.get(KIND_LOCAL_EDGE_PATH)
+    vertex, core, edge = order.reports[KIND_LOCAL_VERTEX], order.core, order.reports.get(KIND_LOCAL_EDGE_PATH)
     return {
         "t": order.t,
         "vertex": {
             "equality": vertex.equality,
             "certificate": vertex.certificate.holds,
-            "core_equality": cross.vertex_core_equality,
-            "core_certificate": cross.vertex_core_certificate,
-            "core_graph6": write_graph6(cross.vertex_core),
+            "core_equality": core.equality,
+            "core_certificate": core.certificate.holds,
+            "core_graph6": write_graph6(core.certificate.reduced),
             "verdict": order.verdicts[KIND_LOCAL_VERTEX],
         },
         "edge": {
@@ -216,6 +218,8 @@ def _parse_kinds(raw: str) -> tuple[str, ...]:
     if raw == "all":
         return tuple(k for k in BOUND_KINDS if k in PER_ORDER_KINDS)
     kinds = tuple(k.strip() for k in raw.split(",") if k.strip())
+    if not kinds:
+        raise ValueError(f"--kinds names no bound kind, got {raw!r}")
     for k in kinds:
         if k not in PER_ORDER_KINDS:
             raise ValueError(f"unknown bound kind {k!r} (per-order kinds: {', '.join(PER_ORDER_KINDS)})")
@@ -234,14 +238,18 @@ def _write_outputs(args, result) -> None:
             fh.write(rows_to_csv(result.rows))
 
 
-def _sweep_exit_code(args, result) -> int:
-    violations = [f for f in result.findings if f.category == CATEGORY_BOUND_VIOLATION]
-    if violations:
+def _parse_fail_on(raw: str) -> set[str]:
+    fail_on = {c.strip() for c in raw.split(",") if c.strip()}
+    unknown = sorted(fail_on - set(CATEGORIES))
+    if unknown:
+        raise ValueError(f"--fail-on: unknown finding category {unknown[0]!r} (categories: {', '.join(CATEGORIES)})")
+    return fail_on
+
+
+def _sweep_exit_code(fail_on: set[str], result) -> int:
+    if any(f.category == CATEGORY_BOUND_VIOLATION for f in result.findings):
         return EXIT_INTERNAL
-    if result.summary["cap_errors"]:
-        return EXIT_FINDINGS
-    fail_on = {c.strip() for c in (args.fail_on or "").split(",") if c.strip()}
-    if any(f.category in fail_on for f in result.findings):
+    if result.summary["cap_errors"] or any(f.category in fail_on for f in result.findings):
         return EXIT_FINDINGS
     return EXIT_OK
 
@@ -279,11 +287,12 @@ def cmd_analyze(args) -> int:
 def _sweep(args, source: GraphSource, **options) -> int:
     """Run a verify/search sweep, write and print its outputs; returns the exit code."""
     t_min, t_max = parse_t_range(args.t)
+    fail_on = _parse_fail_on(args.fail_on)
     config = SearchConfig(
         t_min=t_min,
         t_max=t_max,
         kinds=_parse_kinds(args.kinds),
-        parallelism=args.parallelism,
+        parallelism=args.parallelism if args.parallelism is not None else _default_parallelism(),
         equality_cap=args.equality_cap,
         weight_cap=args.weight_cap,
         collect_rows=bool(args.csv),
@@ -303,15 +312,19 @@ def _sweep(args, source: GraphSource, **options) -> int:
         )
     else:
         _print_sweep_human(result)
-    return _sweep_exit_code(args, result)
+    return _sweep_exit_code(fail_on, result)
+
+
+def _file_lines(path: str) -> Iterator[str]:
+    """The lines of a file, opened on the first read, so a usage error is reported before a missing file."""
+    with open(path, "r", encoding="ascii") as fh:
+        yield from fh
 
 
 def cmd_verify(args) -> int:
-    if args.input == "-":  # streamed: the sweep reads one line at a time
-        source = GraphSource(kind="graph6_lines", lines=sys.stdin)
-    else:
-        source = GraphSource(kind="graph6_file", path=args.input)
-    return _sweep(args, source)
+    # streamed: the sweep reads one line at a time
+    lines = sys.stdin if args.input == "-" else _file_lines(args.input)
+    return _sweep(args, GraphSource(kind="graph6_lines", lines=lines))
 
 
 def cmd_search(args) -> int:
@@ -413,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t", help="clique orders MIN:MAX (default 2..max degree + 1 per graph)")
         p.add_argument("--kinds", default=",".join(DEFAULT_SWEEP_KINDS),
                        help="comma-separated bound kinds, or 'all'")
-        p.add_argument("--parallelism", type=int, default=_default_parallelism(),
+        p.add_argument("--parallelism", type=int,
                        help=f"worker processes (default ${PARALLELISM_ENV} or 1)")
         p.add_argument("--equality-cap", type=int, default=100,
                        help="max EQUALITY_INSTANCE findings per (n,t)")

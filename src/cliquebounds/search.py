@@ -6,23 +6,27 @@ graph: one clique census gives every K_t count, ``bounds.order_bounds``
 every order's bound table, and ``certificates.OrderCertificates`` builds
 every certificate once per distinct reduced graph. Per requested order t
 it pairs each requested kind's bound with that kind's certificate through
-``evaluate_kind``, then asks ``certificates`` for the verdict of each
-characterization among those reports, each decided once (the local_vertex
-one from the vertex-core check, the edge-path and cycle ones from their
-reports), and ``bounds`` for the dominance record of the table. Nothing is
-evaluated that was not requested. ``analyze`` renders that result,
+``evaluate_kind``, tests the local_vertex report on the (t-1)-core
+(``cross_validate``, the order's ``core`` report), asks
+``certificates.conjecture_verdict`` for the verdict of each
+characterization among those reports, once each (the local_vertex one from
+the core report), and ``bounds`` for the dominance record of the table.
+Nothing is evaluated that was not requested. ``analyze`` renders that result,
 ``sweep_worker`` builds each finding from it once, and ``replay_finding``
 re-evaluates a witness through ``sweep_worker`` and looks for the finding
 among the ones it builds.
 
 Workers see one graph at a time (parsed once by the source, with its graph6
-line, which doubles as the witness string) and return its findings; the
-consumer merges them in stream order, so the output is identical for any
-parallelism width. Every finding can be replayed from its witness alone.
+line, which doubles as the witness string) and return its findings.
+``run_sweep`` has one loop that merges the workers' records in stream order,
+mapped in process at parallelism 1 and through a process pool otherwise, so
+the output is identical for any parallelism width. Every finding can be
+replayed from its witness alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -46,7 +50,6 @@ from .bounds import (
 from .certificates import (
     VERDICT_DISCREPANCY,
     VERDICT_KINDS,
-    CrossValidation,
     OrderCertificates,
     conjecture_verdict,
     cross_validate,
@@ -61,6 +64,8 @@ CATEGORY_CONJECTURE_VIOLATION = "CONJECTURE_VIOLATION"
 CATEGORY_CHAR_DISCREPANCY = "CHAR_DISCREPANCY"
 CATEGORY_EQUALITY_INSTANCE = "EQUALITY_INSTANCE"
 CATEGORY_MIN_SLACK = "MIN_SLACK"
+CATEGORIES = (CATEGORY_BOUND_VIOLATION, CATEGORY_CONJECTURE_VIOLATION, CATEGORY_CHAR_DISCREPANCY,
+              CATEGORY_EQUALITY_INSTANCE, CATEGORY_MIN_SLACK)
 
 # pseudo-kinds for dominance violations (always checked, never requested)
 KIND_DOMINANCE_VERTEX = "dominance_vertex"
@@ -91,12 +96,11 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class GraphSource:
-    """A stream of graphs: exhaustive small-n, a graph6 file, or a random model."""
+    """A stream of graphs: exhaustive small-n, graph6 lines, or a random model."""
 
-    kind: str  # "exhaustive" | "graph6_file" | "graph6_lines" | "random"
+    kind: str  # "exhaustive" | "graph6_lines" | "random"
     ns: tuple[int, ...] = ()
-    path: str | None = None
-    lines: Iterable[str] = ()  # read once, one line at a time
+    lines: Iterable[str] = ()  # graph6 lines, read once, one at a time
     model: str = "gnp"
     n: int = 0
     count: int = 0
@@ -125,12 +129,17 @@ class GraphSource:
                 for g in level:
                     if self._accept(g):
                         yield write_graph6(g), g
-        elif self.kind == "graph6_file":
-            assert self.path is not None
-            with open(self.path, "r", encoding="ascii") as fh:
-                yield from self._parse_lines(fh)
         elif self.kind == "graph6_lines":
-            yield from self._parse_lines(self.lines)
+            for lineno, raw in enumerate(self.lines, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    g = parse_graph6(line)
+                except GraphError as exc:
+                    raise GraphError(f"line {lineno}: {exc}") from None
+                if self._accept(g):
+                    yield line.removeprefix(">>graph6<<"), g
         elif self.kind == "random":
             for i in range(self.count):
                 g = random_graph(self.model, self.n, self.params, self.seed + i)
@@ -138,18 +147,6 @@ class GraphSource:
                     yield write_graph6(g), g
         else:
             raise ValueError(f"unknown graph source kind {self.kind!r}")
-
-    def _parse_lines(self, lines: Iterable[str]) -> Iterator[tuple[str, Graph]]:
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                g = parse_graph6(line)
-            except GraphError as exc:
-                raise GraphError(f"line {lineno}: {exc}") from None
-            if self._accept(g):
-                yield line.removeprefix(">>graph6<<"), g
 
 
 @dataclass(frozen=True)
@@ -196,8 +193,8 @@ class OrderEvaluation:
     t: int
     count: int
     reports: dict[str, BoundReport]  # the evaluated kinds defined at t, in request order
-    cross: CrossValidation | None  # the vertex-core check, when local_vertex was evaluated
-    verdicts: dict[str, str]  # the verdict of each evaluated local_vertex, edge-path or cycle kind, in that order
+    core: BoundReport | None  # the local_vertex report on the (t-1)-core, when local_vertex was evaluated
+    verdicts: dict[str, str]  # the verdict of each evaluated VERDICT_KINDS kind, in that order
     dominance: DominanceRecord | None  # for t >= 2
 
 
@@ -232,11 +229,13 @@ def evaluate_graph(
         bounds = tables[t]
         reports = {kind: evaluate_kind(certificates, count, t, kind, bounds[kind]) for kind in kinds if kind in bounds}
         vertex = reports.get(KIND_LOCAL_VERTEX)
-        cross = None if vertex is None else cross_validate(vertex, certificates.vertex_core(t))
-        verdicts = {} if cross is None else {KIND_LOCAL_VERTEX: cross.vertex_verdict}
-        verdicts.update((kind, conjecture_verdict(reports[kind])) for kind in VERDICT_KINDS if kind in reports)
+        core = None if vertex is None else cross_validate(vertex, certificates.of("vertex-core", t))
+        verdicts = {
+            kind: conjecture_verdict(core if kind == KIND_LOCAL_VERTEX else reports[kind])
+            for kind in VERDICT_KINDS if kind in reports
+        }
         dominance = compare_local_vs_classical(g, weights, t, bounds) if t >= 2 else None
-        orders.append(OrderEvaluation(t, count, reports, cross, verdicts, dominance))
+        orders.append(OrderEvaluation(t, count, reports, core, verdicts, dominance))
     return GraphEvaluation(weights, census, orders)
 
 
@@ -248,7 +247,7 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
     violation, an EQUALITY_INSTANCE or a MIN_SLACK candidate by the sign of
     its report's slack."""
     line, g = item
-    record: dict = {"graph6": line, "n": g.n, "m": g.m, "error": None, "findings": []}
+    record: dict = {"graph6": line, "n": g.n, "error": None, "findings": []}
     try:
         evaluation = evaluate_graph(g, order_range(g, config.t_min, config.t_max), config.kinds, config.weight_cap)
     except CapExceededError as exc:
@@ -261,7 +260,7 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
 
     evals, discrepancies, violations = [], [], []
     for order in evaluation.orders:
-        t, count, reports, cv = order.t, order.count, order.reports, order.cross
+        t, count, reports = order.t, order.count, order.reports
         for kind, r in reports.items():
             if r.slack < 0:
                 category = CATEGORY_CONJECTURE_VIOLATION if kind == KIND_LOCAL_EDGE_CYCLE else CATEGORY_BOUND_VIOLATION
@@ -274,15 +273,14 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
         for kind, verdict in order.verdicts.items():
             if verdict != VERDICT_DISCREPANCY:
                 continue
+            r = order.core if kind == KIND_LOCAL_VERTEX else reports[kind]
+            cert = r.certificate.holds
             if kind == KIND_LOCAL_VERTEX:
-                bound, cert = cv.vertex_core_bound, cv.vertex_core_certificate
-                slack = bound - count
-                detail = f"core equality {cv.vertex_core_equality} vs core certificate {cert} (core {write_graph6(cv.vertex_core)})"
+                detail = f"core equality {r.equality} vs core certificate {cert} (core {write_graph6(r.certificate.reduced)})"
             else:
-                r, forest = reports[kind], "block-forest " if kind == KIND_LOCAL_EDGE_CYCLE else ""
-                bound, slack, cert = r.bound, r.slack, r.certificate.holds
+                forest = "block-forest " if kind == KIND_LOCAL_EDGE_CYCLE else ""
                 detail = f"equality {r.equality} vs {forest}certificate {cert}"
-            discrepancies.append(finding(CATEGORY_CHAR_DISCREPANCY, t, kind, count, bound, slack, cert, detail))
+            discrepancies.append(finding(CATEGORY_CHAR_DISCREPANCY, t, kind, count, r.bound, r.slack, cert, detail))
         dom = order.dominance
         pairs = []
         if dom is not None and not dom.vertex_ok:
@@ -316,67 +314,52 @@ def run_sweep(source: GraphSource, config: SearchConfig) -> SweepResult:
     stats_nt: dict[tuple[int, int], dict] = {}
     graphs_per_n: dict[int, int] = {}
     cap_errors: list[str] = []
-    total_graphs = 0
-
-    def consume(record: dict) -> bool:
-        """Merge one worker record; returns True when the sweep should stop."""
-        nonlocal total_graphs
-        total_graphs += 1
-        n = record["n"]
-        graphs_per_n[n] = graphs_per_n.get(n, 0) + 1
-        if record["error"] is not None:
-            cap_errors.append(f"{record['graph6']}: {record['error']}")
-            return False
-        stop = False
-        for f in record["findings"]:
-            if f.kind in DOMINANCE_KINDS:
-                findings.append(f)
-                stop = stop or config.stop_on_first
+    worker = partial(sweep_worker, config=config)
+    with ProcessPoolExecutor(config.parallelism) if config.parallelism > 1 else contextlib.nullcontext() as pool:
+        records = map(worker, source.graphs()) if pool is None else pool.map(worker, source.graphs(), chunksize=16)
+        for record in records:
+            n = record["n"]
+            graphs_per_n[n] = graphs_per_n.get(n, 0) + 1
+            if record["error"] is not None:
+                cap_errors.append(f"{record['graph6']}: {record['error']}")
                 continue
-            key = (n, f.t)
-            ks = stats_nt.setdefault(key, {}).setdefault(
-                f.kind, {"evaluations": 0, "equalities": 0, "violations": 0, "discrepancies": 0}
-            )
-            if f.category == CATEGORY_CHAR_DISCREPANCY:
-                ks["discrepancies"] += 1
-                findings.append(f)
-                continue
-            ks["evaluations"] += 1
-            if config.collect_rows:
-                rows.append(f)
-            if f.category == CATEGORY_EQUALITY_INSTANCE:
-                ks["equalities"] += 1
-                seen = equality_seen.get(key, 0)
-                if seen < config.equality_cap:
-                    equality_seen[key] = seen + 1
+            for f in record["findings"]:
+                if f.kind in DOMINANCE_KINDS:
                     findings.append(f)
-            elif f.category == CATEGORY_MIN_SLACK:
-                cur = min_slack.get((n, f.t, f.kind))
-                if cur is None or f.slack_num * cur.slack_den < cur.slack_num * f.slack_den:
-                    min_slack[(n, f.t, f.kind)] = f
-            else:
-                ks["violations"] += 1
-                findings.append(f)
-                stop = stop or config.stop_on_first
-        return stop
-
-    items = source.graphs()
-    if config.parallelism > 1:
-        worker = partial(sweep_worker, config=config)
-        with ProcessPoolExecutor(max_workers=config.parallelism) as pool:
-            for record in pool.map(worker, items, chunksize=16):
-                if consume(record):
-                    break
-    else:
-        for item in items:
-            if consume(sweep_worker(item, config)):
+                    continue
+                key = (n, f.t)
+                ks = stats_nt.setdefault(key, {}).setdefault(
+                    f.kind, {"evaluations": 0, "equalities": 0, "violations": 0, "discrepancies": 0}
+                )
+                if f.category == CATEGORY_CHAR_DISCREPANCY:
+                    ks["discrepancies"] += 1
+                    findings.append(f)
+                    continue
+                ks["evaluations"] += 1
+                if config.collect_rows:
+                    rows.append(f)
+                if f.category == CATEGORY_EQUALITY_INSTANCE:
+                    ks["equalities"] += 1
+                    seen = equality_seen.get(key, 0)
+                    if seen < config.equality_cap:
+                        equality_seen[key] = seen + 1
+                        findings.append(f)
+                elif f.category == CATEGORY_MIN_SLACK:
+                    cur = min_slack.get((n, f.t, f.kind))
+                    if cur is None or f.slack_num * cur.slack_den < cur.slack_num * f.slack_den:
+                        min_slack[(n, f.t, f.kind)] = f
+                else:
+                    ks["violations"] += 1
+                    findings.append(f)
+            violations = (CATEGORY_BOUND_VIOLATION, CATEGORY_CONJECTURE_VIOLATION)
+            if config.stop_on_first and any(f.category in violations for f in record["findings"]):
                 break
 
     if config.emit_min_slack:
         findings.extend(min_slack[key] for key in sorted(min_slack))
 
     summary = {
-        "graphs": total_graphs,
+        "graphs": sum(graphs_per_n.values()),
         "graphs_per_n": {str(n): graphs_per_n[n] for n in sorted(graphs_per_n)},
         "cap_errors": cap_errors,
         "by_nt": {

@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, GraphError, connected_components, is_clique, iter_bits, reachable_within
+from .graph import Graph, GraphError, connected_components, iter_bits, reachable_within
 
 DEFAULT_EXACT_CAP = 20
 # Witnesses derived by the exchange rules from one search's witness, at most.
@@ -451,7 +451,3 @@ def block_vertex_sets(decomp: BlockDecomposition) -> list[int]:
         out.append(mask)
     return out
 
-
-def is_block_forest(g: Graph, decomp: BlockDecomposition) -> bool:
-    """True iff every block of g's decomposition induces a clique."""
-    return all(is_clique(g, mask) for mask in block_vertex_sets(decomp))

@@ -5,6 +5,7 @@ criterion fails its test. All equality decisions are exact integer or
 rational comparisons; nothing here goes through floating point.
 """
 
+import json
 import time
 from fractions import Fraction
 import pytest
@@ -41,12 +42,14 @@ from cliquebounds.certificates import (
     is_clique_union_with_isolated,
     is_disjoint_clique_union,
 )
-from cliquebounds.cli import build_analyze_report
+from cliquebounds.cli import build_analyze_report, main
 from cliquebounds.enumeration import random_gnp
 from cliquebounds.oracles import dp_all_weights, naive_count_cliques
 from cliquebounds.search import (
     CATEGORY_CHAR_DISCREPANCY,
     CATEGORY_CONJECTURE_VIOLATION,
+    CATEGORY_EQUALITY_INSTANCE,
+    Finding,
     findings_to_jsonl,
     summary_to_json,
 )
@@ -253,3 +256,30 @@ def test_criterion_9_determinism(sweep, corpus):
             line = write_graph6(g)
             assert write_graph6(parse_graph6(line)) == line
     print("\n[criterion 9] PASS: sweep byte-identical at parallelism 1 and 8; graph6 round-trip exact")
+
+
+@pytest.mark.slow
+def test_exhaustive_sweep_at_eight_vertices(capsys, tmp_path):
+    """`search --exhaustive 8 --t 2:8` at parallelism 2 (about 15 s; run with ``-m slow``).
+
+    It finds no violation. Its 12,324 discrepancies are all local_vertex at
+    t = 2, the documented handshake case, and beside them it keeps the 700
+    equality instances that the default cap of 100 per (n, t) lets through
+    for t = 2..8. Nothing else is found, at t >= 3 in particular.
+    """
+    findings_path, summary_path = tmp_path / "findings.jsonl", tmp_path / "summary.json"
+    code = main(["search", "--exhaustive", "8", "--t", "2:8", "--parallelism", "2",
+                 "--findings", str(findings_path), "--summary", str(summary_path)])
+    capsys.readouterr()
+    assert code == 0
+    summary = json.loads(summary_path.read_text())
+    assert summary["graphs"] == 12346 and summary["cap_errors"] == []
+    findings = [Finding.from_json_dict(json.loads(line)) for line in findings_path.read_text().splitlines()]
+    discrepancies = [f for f in findings if f.category == CATEGORY_CHAR_DISCREPANCY]
+    equalities = [f for f in findings if f.category == CATEGORY_EQUALITY_INSTANCE]
+    assert len(discrepancies) == 12324 and {(f.kind, f.t) for f in discrepancies} == {(KIND_LOCAL_VERTEX, 2)}
+    assert len(equalities) == 700 and sorted({f.t for f in equalities}) == list(range(2, 9))
+    assert len(findings) == len(discrepancies) + len(equalities)
+    with capsys.disabled():
+        print("\n[n = 8] PASS: 12,346 graphs, no violation, 12,324 local_vertex discrepancies at t = 2, "
+              "700 equality instances, nothing else")

@@ -44,7 +44,7 @@ from cliquebounds.certificates import (
     vertex_core_certificate,
 )
 from cliquebounds.graph import connected_components, is_clique
-from cliquebounds.search import evaluate_kind
+from cliquebounds.search import evaluate_graph, evaluate_kind
 from cliquebounds.weights import block_decomposition
 
 
@@ -219,22 +219,24 @@ class TestReductionLemmas:
 
 
 def cross_validate_at(g, t):
-    """The local_vertex report, its cross_validate and the local_edge_path
-    verdict at order t, with an independent count."""
+    """The local_vertex report, its core report from cross_validate, and the
+    verdicts of that core report and of the local_edge_path report at order
+    t, with an independent count."""
     w = all_weights(g)
     count = count_cliques(g, t).total
     bounds = order_bounds(g, w, [t])[t]
     certificates = OrderCertificates(g, w)
     vertex = evaluate_kind(certificates, count, t, KIND_LOCAL_VERTEX, bounds[KIND_LOCAL_VERTEX])
     edge = evaluate_kind(certificates, count, t, KIND_LOCAL_EDGE_PATH, bounds[KIND_LOCAL_EDGE_PATH])
-    return vertex, cross_validate(vertex, vertex_core_certificate(g, t)), conjecture_verdict(edge)
+    core = cross_validate(vertex, vertex_core_certificate(g, t))
+    return vertex, core, conjecture_verdict(core), conjecture_verdict(edge)
 
 
 def test_order_certificates_reject_orders_below_each_kind():
     g = K(4)
     certificates = OrderCertificates(g, all_weights(g))
     checks = [(partial(certificates.of, kind), 1 if kind in (KIND_LOCAL_VERTEX, KIND_WOOD) else 2) for kind in PER_ORDER_KINDS]
-    for build, lowest in [*checks, (certificates.vertex_core, 1)]:
+    for build, lowest in [*checks, (partial(certificates.of, "vertex-core"), 1)]:
         build(lowest)  # a seen key must not serve an order its builder rejects
         with pytest.raises(ValueError, match=f"got {lowest - 1}"):
             build(lowest - 1)
@@ -242,36 +244,42 @@ def test_order_certificates_reject_orders_below_each_kind():
 
 class TestCrossValidation:
     def test_k4_both_hold(self):
-        _, cv, edge_verdict = cross_validate_at(K(4), 3)
-        assert cv.vertex_verdict == VERDICT_BOTH_HOLD
+        _, _, vertex_verdict, edge_verdict = cross_validate_at(K(4), 3)
+        assert vertex_verdict == VERDICT_BOTH_HOLD
         assert edge_verdict == VERDICT_BOTH_HOLD
 
     def test_p3_order_two_vertex_discrepancy(self):
-        vertex, cv, edge_verdict = cross_validate_at(path(3), 2)
+        vertex, _, vertex_verdict, edge_verdict = cross_validate_at(path(3), 2)
         assert vertex.equality is True
         assert vertex.certificate.holds is False
-        assert cv.vertex_verdict == VERDICT_DISCREPANCY
+        assert vertex_verdict == VERDICT_DISCREPANCY
         assert edge_verdict == VERDICT_EXEMPT
 
     def test_c5_both_fail(self):
-        _, cv, edge_verdict = cross_validate_at(cycle(5), 3)
-        assert cv.vertex_verdict == VERDICT_BOTH_FAIL
+        _, _, vertex_verdict, edge_verdict = cross_validate_at(cycle(5), 3)
+        assert vertex_verdict == VERDICT_BOTH_FAIL
         assert edge_verdict == VERDICT_BOTH_FAIL
 
     def test_unreduced_pair_reported_alongside(self):
         # bound 1/3 > count 0 while the one-pass certificate holds; the core
         # comparison resolves the mismatch
         p3 = path(3)
-        vertex, cv, _ = cross_validate_at(p3, 3)
+        vertex, core, vertex_verdict, _ = cross_validate_at(p3, 3)
         assert local_vertex_bound(p3, 3) == Fraction(1, 3)
         assert vertex.equality is False
         assert vertex.certificate.holds is True
-        assert cv.vertex_core_equality is True and cv.vertex_core_certificate is True
-        assert cv.vertex_verdict == VERDICT_BOTH_HOLD
+        assert core.kind == KIND_LOCAL_VERTEX and (core.t, core.count, core.bound, core.slack) == (3, 0, 0, 0)
+        assert core.equality is True and core.certificate.holds is True and core.certificate.kind == "vertex-core"
+        assert vertex_verdict == VERDICT_BOTH_HOLD
+
+    def test_vertex_verdict_is_exempt_below_order_two(self):
+        order = evaluate_graph(path(3), [1], (KIND_LOCAL_VERTEX,)).orders[0]
+        assert order.core.equality is True and order.core.certificate.holds is False
+        assert order.verdicts == {KIND_LOCAL_VERTEX: VERDICT_EXEMPT}
 
     def test_vanishing_orders_are_both_hold(self):
-        _, cv, edge_verdict = cross_validate_at(K(3), 5)
-        assert cv.vertex_verdict == VERDICT_BOTH_HOLD
+        _, _, vertex_verdict, edge_verdict = cross_validate_at(K(3), 5)
+        assert vertex_verdict == VERDICT_BOTH_HOLD
         assert edge_verdict == VERDICT_BOTH_HOLD
 
     def test_core_certificate_matches_core_components(self, corpus6):

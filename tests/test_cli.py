@@ -188,6 +188,15 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_usage_errors_come_before_a_missing_file(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.g6")
+        for flags, named in ((("--t", "0"), "--t orders"), (("--kinds", "bogus"), "unknown bound kind"),
+                             (("--kinds", ","), "--kinds"), (("--fail-on", "bogus"), "--fail-on")):
+            code, _, err = run(capsys, "verify", missing, *flags)
+            assert code == EXIT_USAGE and named in err and "missing.g6" not in err, flags
+        code, _, err = run(capsys, "verify", missing)
+        assert code == EXIT_USAGE and "missing.g6" in err
+
     def test_cap_errors_are_not_a_clean_run(self, capsys, tmp_path):
         from cliquebounds import from_edge_list, write_graph6
 
@@ -287,6 +296,24 @@ class TestSearch:
         assert code == EXIT_USAGE
         assert named in err and "graphs analyzed" not in out
 
+    @pytest.mark.parametrize("value", ["EQUALITY_INSTENCE", "CHAR_DISCREPANCY,bogus"])
+    def test_unknown_fail_on_category_exits_2(self, capsys, value):
+        from cliquebounds.search import CATEGORIES
+
+        argv = ("search", "--exhaustive", "4", "--t", "2")
+        code, out, err = run(capsys, *argv, "--fail-on", value)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: --fail-on: unknown finding category")
+        assert len(CATEGORIES) == 5 and all(category in err for category in CATEGORIES)
+        assert run(capsys, *argv, "--fail-on", "EQUALITY_INSTANCE")[0] == EXIT_FINDINGS
+        assert run(capsys, *argv, "--fail-on", ",")[0] == EXIT_OK
+
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_kinds_naming_no_kind_exits_2(self, capsys, value):
+        code, out, err = run(capsys, "search", "--exhaustive", "4", "--t", "2", "--kinds", value)
+        assert code == EXIT_USAGE
+        assert err == f"error: --kinds names no bound kind, got {value!r}\n" and out == ""
+
     def test_exhaustive_order_over_the_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "search", "--exhaustive", "3,9")
         assert code == EXIT_USAGE
@@ -366,10 +393,37 @@ class TestOracle:
         assert "n <= 10" in err
 
 
-def test_env_var_sets_default_parallelism(monkeypatch):
+def test_env_var_sets_default_parallelism(capsys, monkeypatch):
+    from concurrent.futures import ThreadPoolExecutor
+
+    import cliquebounds.search as search
     from cliquebounds.cli import _default_parallelism
 
     monkeypatch.setenv("CLIQUEBOUNDS_PARALLELISM", "6")
     assert _default_parallelism() == 6
+    widths = []
+    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda width: widths.append(width) or ThreadPoolExecutor(width))
+    assert run(capsys, "search", "--exhaustive", "3", "--t", "2")[0] == EXIT_OK
+    assert widths == [6]
     monkeypatch.setenv("CLIQUEBOUNDS_PARALLELISM", "junk")
+    with pytest.raises(ValueError, match="CLIQUEBOUNDS_PARALLELISM must be an integer >= 1, got 'junk'"):
+        _default_parallelism()
+    monkeypatch.setenv("CLIQUEBOUNDS_PARALLELISM", "")  # empty reads as unset
     assert _default_parallelism() == 1
+    monkeypatch.delenv("CLIQUEBOUNDS_PARALLELISM")
+    assert _default_parallelism() == 1
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-2", "1.5"])
+def test_malformed_parallelism_env_var_exits_2(capsys, monkeypatch, tmp_path, value):
+    monkeypatch.setenv("CLIQUEBOUNDS_PARALLELISM", value)
+    path = tmp_path / "k4.g6"
+    path.write_text("C~\n")
+    for argv in (("verify", str(path)), ("search", "--exhaustive", "3")):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err == f"error: CLIQUEBOUNDS_PARALLELISM must be an integer >= 1, got {value!r}\n" and out == ""
+    # an explicit --parallelism leaves the variable unread, and analyze and enumerate never read it
+    assert run(capsys, "search", "--exhaustive", "3", "--parallelism", "1")[0] == EXIT_OK
+    assert run(capsys, "analyze", "C~")[0] == EXIT_OK
+    assert run(capsys, "enumerate", "3")[0] == EXIT_OK

@@ -215,7 +215,8 @@ def test_min_slack_emission():
 def test_graph6_file_source(tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text(">>graph6<<C~\nBw\n\nBg\n")
-    pairs = list(GraphSource(kind="graph6_file", path=str(path)).graphs())
+    with path.open(encoding="ascii") as fh:
+        pairs = list(GraphSource(kind="graph6_lines", lines=fh).graphs())
     assert [line for line, _ in pairs] == ["C~", "Bw", "Bg"]
     assert all(g == parse_graph6(line) for line, g in pairs)
 
@@ -223,8 +224,8 @@ def test_graph6_file_source(tmp_path):
 def test_source_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("C~\nBw\nE??*\n")
-    with pytest.raises(GraphError, match="line 3"):
-        list(GraphSource(kind="graph6_file", path=str(path)).graphs())
+    with path.open(encoding="ascii") as fh, pytest.raises(GraphError, match="line 3"):
+        list(GraphSource(kind="graph6_lines", lines=fh).graphs())
 
 
 def test_source_filters():
@@ -246,6 +247,37 @@ def test_stop_on_first_flag_does_not_change_clean_runs(small_sweep):
     config = SearchConfig(t_min=1, t_max=5, kinds=DEFAULT_SWEEP_KINDS, stop_on_first=True)
     result = run_sweep(source, config)
     assert findings_to_jsonl(result.findings) == findings_to_jsonl(small_sweep.findings)
+
+
+@pytest.mark.parametrize("broken", ["dominance", "cycle bound"])
+def test_stop_on_first_stops_after_the_first_violating_graph(monkeypatch, broken):
+    # No real graph violates a bound, so break one on the graphs with 3 or more edges.
+    from dataclasses import replace
+
+    import cliquebounds.search as search
+
+    if broken == "dominance":
+        real = search.compare_local_vs_classical
+        monkeypatch.setattr(search, "compare_local_vs_classical",
+                            lambda g, w, t, bounds: replace(real(g, w, t, bounds), vertex_ok=g.m < 3))
+        category = CATEGORY_BOUND_VIOLATION
+    else:
+        real = search.order_bounds
+
+        def lowered(g, w, ts):
+            tables = real(g, w, ts)
+            if g.m >= 3:
+                for table in tables.values():
+                    table[KIND_LOCAL_EDGE_CYCLE] -= 1
+            return tables
+
+        monkeypatch.setattr(search, "order_bounds", lowered)
+        category = CATEGORY_CONJECTURE_VIOLATION
+    source = GraphSource(kind="graph6_lines", lines=("Bg", "C~", "Bw", "C~"))
+    for stop, graphs in ((False, 4), (True, 2)):
+        result = run_sweep(source, SearchConfig(t_min=3, t_max=3, stop_on_first=stop))
+        assert result.summary["graphs"] == graphs
+        assert [f.graph6 for f in result.findings if f.category == category] == ["C~", "Bw", "C~"][: graphs - 1]
 
 
 def test_rows_csv_columns():
@@ -304,7 +336,7 @@ def test_dominance_violation_is_reported_and_replays(monkeypatch):
 
 
 def test_evaluate_graph_matches_the_per_t_functions(corpus):
-    """Every report, cross-validation, verdict and dominance record of
+    """Every report, core report, verdict and dominance record of
     ``evaluate_graph``, over every graph with n <= 7 at t = 1..7 and all six
     per-order kinds, equals what the per-t bound functions and certificate
     builders give."""
@@ -327,10 +359,11 @@ def test_evaluate_graph_matches_the_per_t_functions(corpus):
             reports = {kind: make_report(kind, t, count, *expected[kind]) for kind in PER_ORDER_KINDS if kind in expected}
             assert order.count == count
             assert list(order.reports.items()) == list(reports.items()), (write_graph6(g), t)
-            assert order.cross == cross_validate(reports[KIND_LOCAL_VERTEX], vertex_core_certificate(g, t))
-            verdicts = {KIND_LOCAL_VERTEX: order.cross.vertex_verdict}
-            verdicts.update((kind, conjecture_verdict(reports[kind])) for kind in VERDICT_KINDS if kind in reports)
-            assert list(order.verdicts.items()) == list(verdicts.items())
+            core = cross_validate(reports[KIND_LOCAL_VERTEX], vertex_core_certificate(g, t))
+            assert order.core == core
+            judged = {**reports, KIND_LOCAL_VERTEX: core}
+            verdicts = [(kind, conjecture_verdict(judged[kind])) for kind in VERDICT_KINDS if kind in reports]
+            assert list(order.verdicts.items()) == verdicts
             bounds = {kind: r.bound for kind, r in reports.items()}
             assert order.dominance == (compare_local_vs_classical(g, w, t, bounds) if t >= 2 else None)
 
@@ -402,9 +435,10 @@ def test_an_edge_only_sweep_evaluates_nothing_of_the_vertex_side(monkeypatch):
 
 def test_each_verdict_is_decided_once_per_graph_and_order(monkeypatch):
     """Over every graph with n <= 6 at the default kinds and orders, the
-    edge-path and cycle verdicts are decided once per evaluation of their kind,
-    and the vertex-core check runs once per (graph, t) where local_vertex is
-    evaluated."""
+    vertex, edge-path and cycle verdicts are decided once per evaluation of
+    their kind, and the vertex-core check runs once per (graph, t) where
+    local_vertex is evaluated: one local_vertex verdict, from the core report,
+    per (graph, t)."""
     from collections import Counter
 
     import cliquebounds.search as search
@@ -426,7 +460,7 @@ def test_each_verdict_is_decided_once_per_graph_and_order(monkeypatch):
     result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5, 6)), SearchConfig(collect_rows=True))
     evaluated = Counter(f.kind for f in result.rows)
     assert evaluated[KIND_LOCAL_EDGE_PATH] > 0 and evaluated[KIND_LOCAL_EDGE_CYCLE] > 0
-    assert verdicts == {kind: evaluated[kind] for kind in (KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE)}
+    assert verdicts == {kind: evaluated[kind] for kind in VERDICT_KINDS}
     assert len(crosses) == evaluated[KIND_LOCAL_VERTEX] > 0
 
 
