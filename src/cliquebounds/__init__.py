@@ -60,7 +60,6 @@ from .graph import (
     GraphError,
     connected_components,
     delete_edges,
-    delete_vertex,
     from_edge_list,
     induced_subgraph,
     is_clique,

@@ -192,7 +192,7 @@ class BoundReport:
             "bound": fraction_json(self.bound),
             "slack": fraction_json(self.slack),
             "equality": self.equality,
-            "certificate": self.certificate.to_json_dict() if self.certificate is not None else None,
+            "certificate": self.certificate.to_json_dict(self.t) if self.certificate is not None else None,
         }
 
 

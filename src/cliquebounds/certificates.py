@@ -13,8 +13,12 @@ This module is the only place where a certificate is built or a
 characterization verdict decided. Certificates are always computed
 independently of the equality flags so the "if and only if" claims are
 tested empirically rather than assumed; a discrepancy between the two is a
-first-class outcome, not an error. Each certificate keeps the graph it was
-checked on and encodes it as graph6 only when rendered.
+first-class outcome, not an error. A certificate holds only what was
+checked: its outcome, evidence and reduced graph, plus the clique order a
+classical check asks for. It holds no order t, so one certificate serves
+every order with the same reduced graph; its description is formatted from
+the order on render (``to_json_dict(t)``), and its reduced graph is encoded
+as graph6 only when read, at most once (``reduced_graph6``).
 
 ``OrderCertificates`` serves the certificate of every per-order bound kind
 from one table. Each local certificate depends on t only through its
@@ -22,10 +26,11 @@ reduced graph, and the reduced graphs of one graph are nested in t, so each
 reduced graph's key comes from a t-free table (the degrees, the core numbers
 of one core decomposition, the sorted p(e) and c(e)), built on the first
 request for its kind, and a builder (``vertex_equality_certificate`` and its
-three siblings, which stay the per-t oracle) runs only on an unseen key. The
-three classical certificates (``classical_certificate``) check g itself and
-are built once per graph. Every structure check, a component or a block
-being a clique (on exactly r vertices), is one loop, ``_first_non_clique``.
+three siblings, which stay the per-t oracle) runs only on an unseen key;
+every order with a seen key gets that same certificate. The three
+classical certificates (``classical_certificate``) check g itself and are
+built once per graph. Every structure check, a component or a block being a
+clique (on exactly r vertices), is one loop, ``_first_non_clique``.
 
 Every characterization verdict follows one rule, ``conjecture_verdict``:
 equality against certificate in a report that was already evaluated (see
@@ -44,7 +49,8 @@ has t-1 neighbours in it, so the core's K_t count is g's.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .bounds import (
@@ -63,25 +69,44 @@ VERDICT_EXEMPT = "exempt"
 # order from which the paper claims it; local_vertex is judged on its core report.
 VERDICT_KINDS = {KIND_LOCAL_VERTEX: 2, KIND_LOCAL_EDGE_PATH: 3, KIND_LOCAL_EDGE_CYCLE: 3}
 
+# The description of each certificate name: d = t - 1, t the order, r the
+# clique order a classical check asks for.
+_DESCRIPTIONS = {
+    "vertex": "components of induced subgraph on degree >= {d} vertices",
+    "vertex-core": "components of the {d}-core",
+    "edge": "components after deleting edges with p(e)+1 < {t}",
+    "cycle": "block structure after deleting edges with c(e) < {t}",
+    "wood": "disjoint union of cliques on {r} vertices",
+    "cc_path": "disjoint union of cliques on {r} vertices plus isolated vertices",
+    "cc_cycle": "block forest with every block a clique on {r} vertices",
+}
+
 
 @dataclass
 class EqualityCertificate:
-    """Outcome of one structural extremality check."""
+    """Outcome of one structural extremality check; it holds no order t.
+
+    The check of one reduced graph serves every order with that graph, so
+    its description is formatted from the order on render.
+    """
 
     kind: str
     holds: bool
     evidence: int | None  # offending component/block as a vertex bitmask, original ids
     reduced: Graph  # the graph the check ran on
-    description: str
-    reduced_graph6: str | None = field(default=None, compare=False)  # when the caller has it already
+    size: int | None = None  # the clique order a classical check asks for
 
-    def to_json_dict(self) -> dict:
+    @cached_property
+    def reduced_graph6(self) -> str:
+        return write_graph6(self.reduced)
+
+    def to_json_dict(self, t: int) -> dict:
         return {
             "kind": self.kind,
             "holds": self.holds,
             "evidence": sorted(iter_bits(self.evidence)) if self.evidence is not None else None,
-            "reduced_graph6": self.reduced_graph6 if self.reduced_graph6 is not None else write_graph6(self.reduced),
-            "description": self.description,
+            "reduced_graph6": self.reduced_graph6,
+            "description": _DESCRIPTIONS[self.kind].format(d=t - 1, t=t, r=self.size),
         }
 
 
@@ -146,18 +171,6 @@ def w_set(g: Graph, weights: WeightMap, t: int) -> list[tuple[int, int]]:
     return [e for e, c in weights.c.items() if c < t]
 
 
-_DESCRIPTIONS = {
-    "vertex": "components of induced subgraph on degree >= {d} vertices",
-    "vertex-core": "components of the {d}-core",
-    "edge": "components after deleting edges with p(e)+1 < {t}",
-    "cycle": "block structure after deleting edges with c(e) < {t}",
-}
-
-
-def _describe(kind: str, t: int) -> str:
-    return _DESCRIPTIONS[kind].format(d=t - 1, t=t)
-
-
 def _first_non_clique(g: Graph, masks: Iterable[int], size: int | None = None) -> int | None:
     """The first vertex mask that is not a clique of g (on exactly ``size`` vertices, if given), or None."""
     for mask in masks:
@@ -166,33 +179,31 @@ def _first_non_clique(g: Graph, masks: Iterable[int], size: int | None = None) -
     return None
 
 
-def _clique_components_certificate(
-    reduced: Graph, id_map: tuple[int, ...] | None, kind: str, description: str
-) -> EqualityCertificate:
+def _clique_components_certificate(reduced: Graph, id_map: tuple[int, ...] | None, kind: str) -> EqualityCertificate:
     evidence = _first_non_clique(reduced, connected_components(reduced))
     if evidence is not None and id_map is not None:
         evidence = sum(1 << id_map[i] for i in iter_bits(evidence))
-    return EqualityCertificate(kind, evidence is None, evidence, reduced, description)
+    return EqualityCertificate(kind, evidence is None, evidence, reduced)
 
 
 def vertex_equality_certificate(g: Graph, t: int) -> EqualityCertificate:
     """Every component of the graph induced on the degree-threshold set is a clique."""
     keep = x_set(g, t)
     reduced, id_map = induced_subgraph(g, keep)
-    return _clique_components_certificate(reduced, id_map, "vertex", _describe("vertex", t))
+    return _clique_components_certificate(reduced, id_map, "vertex")
 
 
 def vertex_core_certificate(g: Graph, t: int) -> EqualityCertificate:
     """Same check on the (t-1)-core, where the reduction is stable."""
     keep = x_core(g, t)
     reduced, id_map = induced_subgraph(g, keep)
-    return _clique_components_certificate(reduced, id_map, "vertex-core", _describe("vertex-core", t))
+    return _clique_components_certificate(reduced, id_map, "vertex-core")
 
 
 def edge_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
     """Every component after deleting short-path edges is a clique (vertices kept)."""
     stripped = delete_edges(g, z_set(g, weights, t))
-    return _clique_components_certificate(stripped, None, "edge", _describe("edge", t))
+    return _clique_components_certificate(stripped, None, "edge")
 
 
 def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
@@ -205,31 +216,20 @@ def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> Equality
     stripped = delete_edges(g, short)
     decomp = block_decomposition(stripped) if short else weights.blocks
     evidence = _first_non_clique(stripped, block_vertex_sets(decomp))
-    return EqualityCertificate("cycle", evidence is None, evidence, stripped, _describe("cycle", t))
+    return EqualityCertificate("cycle", evidence is None, evidence, stripped)
 
 
-def classical_certificate(g: Graph, weights: WeightMap, kind: str, graph6: str | None = None) -> EqualityCertificate:
-    """The certificate of one classical kind: a check of g itself, the same at every order.
-
-    ``graph6``, if given, is g's graph6.
-    """
+def classical_certificate(g: Graph, weights: WeightMap, kind: str) -> EqualityCertificate:
+    """The certificate of one classical kind: a check of g itself, the same at every order."""
     if kind == KIND_WOOD:
         size = g.max_degree() + 1
-        return EqualityCertificate(
-            "wood", is_disjoint_clique_union(g, size), None, g, f"disjoint union of cliques on {size} vertices", graph6
-        )
+        return EqualityCertificate("wood", is_disjoint_clique_union(g, size), None, g, size)
     if kind == KIND_CC_PATH:
         r = classical_path_r(weights, g.m)
-        return EqualityCertificate(
-            "cc_path", is_clique_union_with_isolated(g, r), None, g,
-            f"disjoint union of cliques on {r} vertices plus isolated vertices", graph6,
-        )
+        return EqualityCertificate("cc_path", is_clique_union_with_isolated(g, r), None, g, r)
     if kind == KIND_CC_CYCLE:
         r = classical_cycle_r(weights)
-        return EqualityCertificate(
-            "cc_cycle", is_block_forest_of_kr(g, r, weights.blocks), None, g,
-            f"block forest with every block a clique on {r} vertices", graph6,
-        )
+        return EqualityCertificate("cc_cycle", is_block_forest_of_kr(g, r, weights.blocks), None, g, r)
     raise ValueError(f"unknown classical bound kind {kind!r}")
 
 
@@ -244,31 +244,26 @@ class OrderCertificates:
     sorted on the first request for its kind, so a kind never requested
     costs nothing. A classical certificate checks g itself: its table is
     empty, so its one key is built on first request. A builder runs only on
-    an unseen key; an order whose key was seen gets that certificate with its
-    own description.
+    an unseen key; every order with that key gets the same certificate.
     """
 
-    def __init__(self, g: Graph, weights: WeightMap, graph6: str | None = None) -> None:
-        # kind: (certificate name, t-free values, threshold offset, lowest order, builder of order t)
-        self._rows: dict[str, tuple[str, Callable[[], Iterable[int]], int, int, Callable[[int], EqualityCertificate]]]
+    def __init__(self, g: Graph, weights: WeightMap) -> None:
+        # kind: (t-free values, threshold offset, lowest order, builder of order t)
+        self._rows: dict[str, tuple[Callable[[], Iterable[int]], int, int, Callable[[int], EqualityCertificate]]]
         self._rows = {
-            KIND_LOCAL_VERTEX: ("vertex", g.degrees, -1, 1, lambda t: vertex_equality_certificate(g, t)),
-            "vertex-core": ("vertex-core", lambda: core_numbers(g), -1, 1, lambda t: vertex_core_certificate(g, t)),
-            KIND_LOCAL_EDGE_PATH: (
-                "edge", weights.p.values, -1, 2, lambda t: edge_equality_certificate(g, weights, t)
-            ),
-            KIND_LOCAL_EDGE_CYCLE: (
-                "cycle", weights.c.values, 0, 2, lambda t: cycle_equality_certificate(g, weights, t)
-            ),
+            KIND_LOCAL_VERTEX: (g.degrees, -1, 1, lambda t: vertex_equality_certificate(g, t)),
+            "vertex-core": (lambda: core_numbers(g), -1, 1, lambda t: vertex_core_certificate(g, t)),
+            KIND_LOCAL_EDGE_PATH: (weights.p.values, -1, 2, lambda t: edge_equality_certificate(g, weights, t)),
+            KIND_LOCAL_EDGE_CYCLE: (weights.c.values, 0, 2, lambda t: cycle_equality_certificate(g, weights, t)),
         }
-        for kind, name, lowest in ((KIND_WOOD, "wood", 1), (KIND_CC_PATH, "cc_path", 2), (KIND_CC_CYCLE, "cc_cycle", 2)):
-            self._rows[kind] = (name, tuple, 0, lowest, lambda t, kind=kind: classical_certificate(g, weights, kind, graph6))
+        for kind, lowest in ((KIND_WOOD, 1), (KIND_CC_PATH, 2), (KIND_CC_CYCLE, 2)):
+            self._rows[kind] = (tuple, 0, lowest, lambda t, kind=kind: classical_certificate(g, weights, kind))
         self._tables: dict[str, list[int]] = {}
         self._built: dict[tuple[str, int], EqualityCertificate] = {}
 
     def of(self, kind: str, t: int) -> EqualityCertificate:
         """The certificate of a per-order bound kind at order t."""
-        name, values, offset, lowest, build = self._rows[kind]
+        values, offset, lowest, build = self._rows[kind]
         if t < lowest:
             raise ValueError(f"clique order must be >= {lowest}, got {t}")
         table = self._tables.get(kind)
@@ -278,8 +273,6 @@ class OrderCertificates:
         cert = self._built.get((kind, key))
         if cert is None:
             cert = self._built[kind, key] = build(t)
-        elif name in _DESCRIPTIONS:
-            cert = EqualityCertificate(name, cert.holds, cert.evidence, cert.reduced, _describe(name, t))
         return cert
 
 

@@ -129,7 +129,7 @@ def cross_validation_for_t(order: OrderEvaluation) -> dict:
             "certificate": vertex.certificate.holds,
             "core_equality": core.equality,
             "core_certificate": core.certificate.holds,
-            "core_graph6": write_graph6(core.certificate.reduced),
+            "core_graph6": core.certificate.reduced_graph6,
             "verdict": order.verdicts[KIND_LOCAL_VERTEX],
         },
         "edge": {
@@ -142,7 +142,7 @@ def cross_validation_for_t(order: OrderEvaluation) -> dict:
 
 def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXACT_CAP) -> dict:
     graph6 = write_graph6(g)
-    evaluation = evaluate_graph(g, ts, PER_ORDER_KINDS, weight_cap, graph6)
+    evaluation = evaluate_graph(g, ts, PER_ORDER_KINDS, weight_cap)
     weights = evaluation.weights
     decomp = weights.blocks
     all_count = sum(evaluation.census.values())

@@ -31,13 +31,6 @@ def check_vertex_count(n: int) -> None:
         raise GraphError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
-
-
 class Graph:
     """A labeled simple undirected graph on vertices 0..n-1."""
 
@@ -244,13 +237,6 @@ def induced_subgraph(g: Graph, vertices: int) -> tuple[Graph, tuple[int, ...]]:
         rows.append(row)
     m = sum(r.bit_count() for r in rows) // 2
     return Graph._raw(len(keep), tuple(rows), m), tuple(keep)
-
-
-def delete_vertex(g: Graph, v: int) -> Graph:
-    if not (0 <= v < g.n):
-        raise GraphError(f"vertex {v} not in graph")
-    sub, _ = induced_subgraph(g, g.vertex_mask() & ~(1 << v))
-    return sub
 
 
 def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:

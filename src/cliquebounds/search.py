@@ -4,17 +4,19 @@
 certificates and verdicts are gathered. Its t-free work is done once per
 graph: one clique census gives every K_t count, ``bounds.order_bounds``
 every order's bound table, and ``certificates.OrderCertificates`` builds
-every certificate once per distinct reduced graph. Per requested order t
-it pairs each requested kind's bound with that kind's certificate through
-``evaluate_kind``, tests the local_vertex report on the (t-1)-core
-(``cross_validate``, the order's ``core`` report), asks
-``certificates.conjecture_verdict`` for the verdict of each
-characterization among those reports, once each (the local_vertex one from
-the core report), and ``bounds`` for the dominance record of the table.
-Nothing is evaluated that was not requested. ``analyze`` renders that result,
-``sweep_worker`` builds each finding from it once, and ``replay_finding``
-re-evaluates a witness through ``sweep_worker`` and looks for the finding
-among the ones it builds.
+every certificate once per distinct reduced graph, one object for every
+order that shares that graph. Per requested order t it pairs each requested
+kind's bound with that kind's certificate through ``evaluate_kind``, tests
+the local_vertex report on the (t-1)-core (``cross_validate``, the order's
+``core`` report), asks ``certificates.conjecture_verdict`` for the verdict
+of each characterization among those reports, once each (the local_vertex
+one from the core report), and ``bounds`` for the dominance record of the
+table. Nothing is evaluated that was not requested. ``analyze`` renders that
+result, ``sweep_worker`` builds each finding from it once, and
+``replay_finding`` re-evaluates a witness through ``sweep_worker`` and looks
+for the finding among the ones it builds. A sweep renders no certificate: a
+finding reads only a certificate's outcome, and a vertex discrepancy its
+core's graph6.
 
 Workers see one graph at a time (parsed once by the source, with its graph6
 line, which doubles as the witness string) and return its findings.
@@ -86,6 +88,10 @@ class SearchConfig:
     collect_rows: bool = False
 
     def __post_init__(self) -> None:
+        if self.t_min < 1:
+            raise ValueError(f"t_min must be >= 1, got {self.t_min}")
+        if self.t_max is not None and self.t_max < self.t_min:
+            raise ValueError(f"t_max must be >= t_min = {self.t_min}, got {self.t_max}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.equality_cap < 0:
@@ -206,21 +212,17 @@ class GraphEvaluation:
 
 
 def evaluate_graph(
-    g: Graph, ts: Iterable[int], kinds: tuple[str, ...], weight_cap: int = DEFAULT_EXACT_CAP, graph6: str | None = None
+    g: Graph, ts: Iterable[int], kinds: tuple[str, ...], weight_cap: int = DEFAULT_EXACT_CAP
 ) -> GraphEvaluation:
     """Evaluate the given kinds at every order in ``ts``, each item exactly
-    once: a kind requested twice is evaluated once, at its first position.
-
-    ``graph6``, if given, is g's graph6; the certificates that check g itself
-    reuse it.
-    """
+    once: a kind requested twice is evaluated once, at its first position."""
     unknown = [kind for kind in kinds if kind not in PER_ORDER_KINDS]
     if unknown:
         raise ValueError(f"unknown per-order bound kind {unknown[0]!r}")
     kinds = tuple(dict.fromkeys(kinds))
     weights = all_weights(g, weight_cap)
     census = clique_census(g)
-    certificates = OrderCertificates(g, weights, graph6)
+    certificates = OrderCertificates(g, weights)
     ts = list(ts)
     tables = order_bounds(g, weights, ts)
     orders = []
@@ -276,7 +278,7 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
             r = order.core if kind == KIND_LOCAL_VERTEX else reports[kind]
             cert = r.certificate.holds
             if kind == KIND_LOCAL_VERTEX:
-                detail = f"core equality {r.equality} vs core certificate {cert} (core {write_graph6(r.certificate.reduced)})"
+                detail = f"core equality {r.equality} vs core certificate {cert} (core {r.certificate.reduced_graph6})"
             else:
                 forest = "block-forest " if kind == KIND_LOCAL_EDGE_CYCLE else ""
                 detail = f"equality {r.equality} vs {forest}certificate {cert}"
@@ -380,8 +382,8 @@ def replay_finding(finding: Finding, weight_cap: int = DEFAULT_EXACT_CAP) -> boo
     """Re-evaluate a finding's witness at its order, as the sweep does, and
     confirm that the sweep builds this finding field for field."""
     kinds = () if finding.kind in DOMINANCE_KINDS else (finding.kind,)
-    config = SearchConfig(t_min=finding.t, t_max=finding.t, kinds=kinds, weight_cap=weight_cap)
     try:
+        config = SearchConfig(t_min=finding.t, t_max=finding.t, kinds=kinds, weight_cap=weight_cap)
         record = sweep_worker((finding.graph6, parse_graph6(finding.graph6)), config)
     except ValueError:  # a malformed witness, order or kind
         return False

@@ -23,6 +23,7 @@ from cliquebounds import (
     z_set,
 )
 from cliquebounds.bounds import (
+    KIND_LOCAL_EDGE_CYCLE,
     KIND_LOCAL_EDGE_PATH,
     KIND_LOCAL_VERTEX,
     KIND_WOOD,
@@ -240,6 +241,28 @@ def test_order_certificates_reject_orders_below_each_kind():
         build(lowest)  # a seen key must not serve an order its builder rejects
         with pytest.raises(ValueError, match=f"got {lowest - 1}"):
             build(lowest - 1)
+
+
+def test_orders_sharing_a_reduced_graph_share_one_certificate(corpus6):
+    """``of`` hands every order with the same reduced graph, as the per-t
+    threshold functions give it, the same object, and each reduced graph its
+    own; a classical certificate is one object at every order."""
+    for g in corpus6:
+        w = all_weights(g)
+        certificates = OrderCertificates(g, w)
+        keys = {
+            KIND_LOCAL_VERTEX: partial(x_set, g),
+            "vertex-core": partial(x_core, g),
+            KIND_LOCAL_EDGE_PATH: lambda t: frozenset(z_set(g, w, t)),
+            KIND_LOCAL_EDGE_CYCLE: lambda t: frozenset(w_set(g, w, t)),
+        }
+        for kind in [*PER_ORDER_KINDS, "vertex-core"]:
+            key = keys.get(kind, lambda t: None)
+            ts = range(1 if kind in (KIND_LOCAL_VERTEX, KIND_WOOD, "vertex-core") else 2, 8)
+            for t1 in ts:
+                for t2 in ts:
+                    same = key(t1) == key(t2)
+                    assert (certificates.of(kind, t1) is certificates.of(kind, t2)) == same, (kind, t1, t2)
 
 
 class TestCrossValidation:

@@ -72,17 +72,30 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["t_values"] == [2, 3, 4]
 
-    def test_certificates_of_g_itself_reuse_the_report_graph6(self, monkeypatch):
+    def test_each_certificate_graph_is_encoded_once(self, monkeypatch):
+        """analyze encodes g once for its report, and each certificate's
+        reduced graph at most once, however many orders and sections show it."""
+        import functools
+
         import cliquebounds.certificates as certificates
+        import cliquebounds.cli as cli
         from cliquebounds import parse_graph6
         from cliquebounds.cli import build_analyze_report
 
-        g = parse_graph6("IheA@GUAo")  # the Petersen graph
-        encoded = []
+        encoded, rendered = [], []
         original = certificates.write_graph6
-        monkeypatch.setattr(certificates, "write_graph6", lambda h: encoded.append(h) or original(h))
-        report = build_analyze_report(g, [2, 3, 4])
-        assert encoded and all(h is not g for h in encoded)
+        for module in (certificates, cli):
+            monkeypatch.setattr(module, "write_graph6", lambda h: encoded.append(h) or original(h))
+        cls = certificates.EqualityCertificate
+        encode = cls.__dict__["reduced_graph6"].func
+        spy = functools.cached_property(lambda cert: rendered.append(cert) or encode(cert))
+        spy.__set_name__(cls, "reduced_graph6")
+        monkeypatch.setattr(cls, "reduced_graph6", spy)
+        report = build_analyze_report(parse_graph6("IheA@GUAo"), [2, 3, 4])  # the Petersen graph
+        assert len({id(cert) for cert in rendered}) == len(rendered) == 7
+        # g for the report, then one certificate per kind (the vertex core's
+        # included): at t = 2..4 the Petersen graph keeps one reduced graph each
+        assert len(encoded) == 8
         kinds = ("wood_classical", "cc_path_classical", "cc_cycle_classical")
         classical = [r for r in report["reports"] if r["kind"] in kinds]
         assert len(classical) == 9

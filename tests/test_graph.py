@@ -9,7 +9,6 @@ from cliquebounds import (
     GraphError,
     connected_components,
     delete_edges,
-    delete_vertex,
     from_edge_list,
     induced_subgraph,
     is_clique,
@@ -18,7 +17,7 @@ from cliquebounds import (
     to_edge_list_text,
     write_graph6,
 )
-from cliquebounds.graph import iter_bits, mask_of
+from cliquebounds.graph import iter_bits
 
 
 def K(n):
@@ -164,11 +163,6 @@ class TestOperations:
         assert mapping == (1, 2, 3, 4)
         assert sorted(sub.degrees()) == [1, 1, 2, 2]
 
-    def test_delete_vertex(self):
-        assert delete_vertex(K(4), 3) == K(3)
-        with pytest.raises(GraphError):
-            delete_vertex(K(4), 9)
-
     def test_delete_edges_keeps_vertices(self):
         paw = from_edge_list(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
         g = delete_edges(paw, [(0, 3)])
@@ -219,9 +213,6 @@ class TestOperations:
         assert not is_clique(path(3), 0b111)
         assert is_clique(path(3), 0b100)
         assert is_clique(path(3), 0)
-
-    def test_mask_of(self):
-        assert mask_of([0, 2, 5]) == 0b100101
 
 
 # Text that reaches the parsers' deeper checks: graph6 characters, and

@@ -104,6 +104,19 @@ def test_replay_rejects_tampered_witness(small_sweep):
     assert not replay_finding(replace(finding, count=finding.count + 1))
     assert not replay_finding(replace(finding, graph6="garbage"))
     assert not replay_finding(replace(finding, kind="bogus"))
+    assert not replay_finding(replace(finding, t=0))
+
+
+@pytest.mark.parametrize("t_min, t_max, message", [
+    (0, None, "t_min must be >= 1, got 0"),
+    (-2, 3, "t_min must be >= 1, got -2"),
+    (5, 3, "t_max must be >= t_min = 5, got 3"),
+])
+def test_search_config_rejects_an_empty_order_range(t_min, t_max, message):
+    """An order range that evaluates nothing is an error, not a clean empty run."""
+    with pytest.raises(ValueError, match=message):
+        SearchConfig(t_min=t_min, t_max=t_max)
+    SearchConfig(t_min=3, t_max=3)
 
 
 def test_unknown_kind_is_rejected_not_skipped():
@@ -431,6 +444,19 @@ def test_an_edge_only_sweep_evaluates_nothing_of_the_vertex_side(monkeypatch):
     assert calls == []
     run_sweep(source, SearchConfig(t_min=2, t_max=6, kinds=(KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX)))
     assert {"vertex_equality_certificate", "vertex_core_certificate", "cross_validate"} == set(calls)
+
+
+def test_a_sweep_renders_no_certificate(monkeypatch):
+    """A finding reads a certificate's outcome, never its rendering: a sweep
+    of every kind, with vertex discrepancies among its findings, formats no
+    certificate description."""
+    def render(cert, t):
+        raise AssertionError("a sweep rendered a certificate")
+
+    monkeypatch.setattr(certificates.EqualityCertificate, "to_json_dict", render)
+    result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4)),
+                       SearchConfig(t_min=1, t_max=4, kinds=PER_ORDER_KINDS))
+    assert any(f.category == CATEGORY_CHAR_DISCREPANCY and f.kind == KIND_LOCAL_VERTEX for f in result.findings)
 
 
 def test_each_verdict_is_decided_once_per_graph_and_order(monkeypatch):
