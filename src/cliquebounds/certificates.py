@@ -14,11 +14,24 @@ characterization verdict decided. Certificates are always computed
 independently of the equality flags so the "if and only if" claims are
 tested empirically rather than assumed; a discrepancy between the two is a
 first-class outcome, not an error. A certificate holds only what was
-checked: its outcome, evidence and reduced graph, plus the clique order a
-classical check asks for. It holds no order t, so one certificate serves
+checked: its outcome, evidence and the view it ran on, plus the clique order
+a classical check asks for. It holds no order t, so one certificate serves
 every order with the same reduced graph; its description is formatted from
-the order on render (``to_json_dict(t)``), and its reduced graph is encoded
-as graph6 only when read, at most once (``reduced_graph6``).
+the order on render (``to_json_dict(t)``).
+
+A view is a graph and a vertex mask ``keep``: the vertex certificates keep
+the degree-threshold set or the (t-1)-core of g, the edge and cycle
+certificates keep every vertex of g minus the short edges. The
+characterizations that ask for a disjoint union of cliques are decided on
+the view (``_first_non_clique_component``): every kept vertex must have the
+same closed neighbourhood within ``keep`` as each of its kept neighbours,
+and the evidence is the first component, by smallest member, where one does
+not. The reduced graph itself, the view relabelled 0..k-1 in ascending
+order, is built only when read (``reduced``, for ``analyze`` or a core
+discrepancy's graph6), and encoded as graph6 at most once
+(``reduced_graph6``). ``cross_validate`` reads the core's degrees from the
+view too. The materialising builders, which relabel the reduced graph and
+search its components, are the oracle (``oracles.py``).
 
 ``OrderCertificates`` serves the certificate of every per-order bound kind
 from one table. Each local certificate depends on t only through its
@@ -26,10 +39,10 @@ reduced graph, and the reduced graphs of one graph are nested in t, so each
 reduced graph's key comes from a t-free table (the degrees, the core numbers
 of one core decomposition, the sorted p(e) and c(e)), built on the first
 request for its kind, and a builder (``vertex_equality_certificate`` and its
-three siblings, which stay the per-t oracle) runs only on an unseen key;
-every order with a seen key gets that same certificate. The three
-classical certificates (``classical_certificate``) check g itself and are
-built once per graph. Every structure check, a component or a block being a
+three siblings, each a per-t function) runs only on an unseen key; every
+order with a seen key gets that same certificate. The three classical
+certificates (``classical_certificate``) check g itself and are built once
+per graph. Every other structure check, a given component or block being a
 clique (on exactly r vertices), is one loop, ``_first_non_clique``.
 
 Every characterization verdict follows one rule, ``conjecture_verdict``:
@@ -50,14 +63,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .bounds import (
     KIND_CC_CYCLE, KIND_CC_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, KIND_WOOD, BoundReport,
-    classical_cycle_r, classical_path_r, local_vertex_bound, make_report,
+    binom, classical_cycle_r, classical_path_r, make_report,
 )
-from .graph import Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits, write_graph6
+from .graph import (
+    Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits, reachable_within, write_graph6,
+)
 from .weights import BlockDecomposition, WeightMap, block_decomposition, block_vertex_sets
 
 VERDICT_BOTH_HOLD = "both-hold"
@@ -87,14 +103,24 @@ class EqualityCertificate:
     """Outcome of one structural extremality check; it holds no order t.
 
     The check of one reduced graph serves every order with that graph, so
-    its description is formatted from the order on render.
+    its description is formatted from the order on render. The check runs on
+    a view, ``graph`` restricted to the vertex mask ``keep``; the reduced
+    graph itself is built only when read.
     """
 
     kind: str
     holds: bool
     evidence: int | None  # offending component/block as a vertex bitmask, original ids
-    reduced: Graph  # the graph the check ran on
+    graph: Graph  # the graph the check ran on, before the vertex restriction
+    keep: int  # the vertices the check kept, as a bitmask of graph's ids
     size: int | None = None  # the clique order a classical check asks for
+
+    @cached_property
+    def reduced(self) -> Graph:
+        """``graph`` induced on ``keep``, relabelled 0..k-1 in ascending order."""
+        if self.keep == self.graph.vertex_mask():
+            return self.graph
+        return induced_subgraph(self.graph, self.keep)[0]
 
     @cached_property
     def reduced_graph6(self) -> str:
@@ -179,31 +205,48 @@ def _first_non_clique(g: Graph, masks: Iterable[int], size: int | None = None) -
     return None
 
 
-def _clique_components_certificate(reduced: Graph, id_map: tuple[int, ...] | None, kind: str) -> EqualityCertificate:
-    evidence = _first_non_clique(reduced, connected_components(reduced))
-    if evidence is not None and id_map is not None:
-        evidence = sum(1 << id_map[i] for i in iter_bits(evidence))
-    return EqualityCertificate(kind, evidence is None, evidence, reduced)
+def _first_non_clique_component(adj: Sequence[int], keep: int) -> int | None:
+    """The first component, by smallest member, of the graph ``adj`` induces
+    on ``keep`` that is not a clique, as a vertex mask, or None.
+
+    A component is a clique exactly when each of its members has the same
+    closed neighbourhood within ``keep``: then that neighbourhood is the
+    component. So each component is checked from its smallest member, and
+    searched in full only when it fails.
+    """
+    rest = keep
+    while rest:
+        low = rest & -rest
+        closed = adj[low.bit_length() - 1] & keep | low
+        others = closed ^ low
+        while others:
+            bit = others & -others
+            others ^= bit
+            if adj[bit.bit_length() - 1] & keep | bit != closed:
+                return reachable_within(adj, low, keep) | low
+        rest &= ~closed
+    return None
+
+
+def _clique_components_certificate(g: Graph, keep: int, kind: str) -> EqualityCertificate:
+    evidence = _first_non_clique_component(g.adj, keep)
+    return EqualityCertificate(kind, evidence is None, evidence, g, keep)
 
 
 def vertex_equality_certificate(g: Graph, t: int) -> EqualityCertificate:
     """Every component of the graph induced on the degree-threshold set is a clique."""
-    keep = x_set(g, t)
-    reduced, id_map = induced_subgraph(g, keep)
-    return _clique_components_certificate(reduced, id_map, "vertex")
+    return _clique_components_certificate(g, x_set(g, t), "vertex")
 
 
 def vertex_core_certificate(g: Graph, t: int) -> EqualityCertificate:
     """Same check on the (t-1)-core, where the reduction is stable."""
-    keep = x_core(g, t)
-    reduced, id_map = induced_subgraph(g, keep)
-    return _clique_components_certificate(reduced, id_map, "vertex-core")
+    return _clique_components_certificate(g, x_core(g, t), "vertex-core")
 
 
 def edge_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
     """Every component after deleting short-path edges is a clique (vertices kept)."""
     stripped = delete_edges(g, z_set(g, weights, t))
-    return _clique_components_certificate(stripped, None, "edge")
+    return _clique_components_certificate(stripped, stripped.vertex_mask(), "edge")
 
 
 def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
@@ -216,20 +259,21 @@ def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> Equality
     stripped = delete_edges(g, short)
     decomp = block_decomposition(stripped) if short else weights.blocks
     evidence = _first_non_clique(stripped, block_vertex_sets(decomp))
-    return EqualityCertificate("cycle", evidence is None, evidence, stripped)
+    return EqualityCertificate("cycle", evidence is None, evidence, stripped, stripped.vertex_mask())
 
 
 def classical_certificate(g: Graph, weights: WeightMap, kind: str) -> EqualityCertificate:
     """The certificate of one classical kind: a check of g itself, the same at every order."""
+    full = g.vertex_mask()
     if kind == KIND_WOOD:
         size = g.max_degree() + 1
-        return EqualityCertificate("wood", is_disjoint_clique_union(g, size), None, g, size)
+        return EqualityCertificate("wood", is_disjoint_clique_union(g, size), None, g, full, size)
     if kind == KIND_CC_PATH:
         r = classical_path_r(weights, g.m)
-        return EqualityCertificate("cc_path", is_clique_union_with_isolated(g, r), None, g, r)
+        return EqualityCertificate("cc_path", is_clique_union_with_isolated(g, r), None, g, full, r)
     if kind == KIND_CC_CYCLE:
         r = classical_cycle_r(weights)
-        return EqualityCertificate("cc_cycle", is_block_forest_of_kr(g, r, weights.blocks), None, g, r)
+        return EqualityCertificate("cc_cycle", is_block_forest_of_kr(g, r, weights.blocks), None, g, full, r)
     raise ValueError(f"unknown classical bound kind {kind!r}")
 
 
@@ -280,10 +324,13 @@ def cross_validate(vertex: BoundReport, core_cert: EqualityCertificate) -> Bound
     """The local_vertex report of one graph at one order, tested on its (t-1)-core.
 
     ``vertex`` is the local_vertex report already evaluated at that order,
-    ``core_cert`` the graph's vertex-core certificate there.
+    ``core_cert`` the graph's vertex-core certificate there. The core's
+    local_vertex bound, (1/t) * sum C(d(v), t-1) over its vertices, is read
+    from the certificate's view: d(v) is v's degree within the kept set.
     """
-    bound = local_vertex_bound(core_cert.reduced, vertex.t)
-    return make_report(KIND_LOCAL_VERTEX, vertex.t, vertex.count, bound, core_cert)
+    t, adj, keep = vertex.t, core_cert.graph.adj, core_cert.keep
+    bound = Fraction(sum(binom((adj[v] & keep).bit_count(), t - 1) for v in iter_bits(keep)), t)
+    return make_report(KIND_LOCAL_VERTEX, t, vertex.count, bound, core_cert)
 
 
 def conjecture_verdict(report: BoundReport) -> str:

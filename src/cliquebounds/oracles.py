@@ -6,7 +6,9 @@ subset dynamic program over (vertex set, endpoint) states. Both are exported
 so the CLI can run the same cross-checks the test suite runs, but they are
 capped well below the production limits. The canonical-labeling oracle shares
 only the vertex refinement, which defines the canonical form; it tries every
-order the refinement allows, with no pruning.
+order the refinement allows, with no pruning. The local certificate oracles
+share only the threshold sets, which define the reduced graphs: they build
+each reduced graph, relabelled, and test its components one by one.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import factorial, prod
 
+from .certificates import EqualityCertificate, x_core, x_set, z_set
 from .cliques import CliqueCounts
 from .enumeration import _refined_classes
-from .graph import Graph, iter_bits
+from .graph import Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits
 from .weights import CapExceededError, WeightMap, block_decomposition
 
 NAIVE_CLIQUE_CAP = 10
@@ -195,3 +198,26 @@ def product_canonical_graph(g: Graph) -> Graph:
         sum(1 << j for j in range(n) if (adj[best_order[i]] >> best_order[j]) & 1) for i in range(n)
     )
     return Graph._raw(n, rows, g.m)
+
+
+def _materialised_certificate(reduced: Graph, id_map: tuple[int, ...] | None, kind: str) -> EqualityCertificate:
+    evidence = next((comp for comp in connected_components(reduced) if not is_clique(reduced, comp)), None)
+    if evidence is not None and id_map is not None:
+        evidence = sum(1 << id_map[i] for i in iter_bits(evidence))
+    return EqualityCertificate(kind, evidence is None, evidence, reduced, reduced.vertex_mask())
+
+
+def materialised_vertex_certificate(g: Graph, t: int) -> EqualityCertificate:
+    """Oracle ``vertex_equality_certificate``: the components of the graph
+    induced on the degree-threshold set, built and relabelled."""
+    return _materialised_certificate(*induced_subgraph(g, x_set(g, t)), "vertex")
+
+
+def materialised_vertex_core_certificate(g: Graph, t: int) -> EqualityCertificate:
+    """Oracle ``vertex_core_certificate``: the components of the (t-1)-core, built and relabelled."""
+    return _materialised_certificate(*induced_subgraph(g, x_core(g, t)), "vertex-core")
+
+
+def materialised_edge_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
+    """Oracle ``edge_equality_certificate``: the components of g minus its short-path edges."""
+    return _materialised_certificate(delete_edges(g, z_set(g, weights, t)), None, "edge")

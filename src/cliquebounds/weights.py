@@ -27,7 +27,7 @@ G(22, 0.3, 1) took 46 s and 24.8M reachability walks without them, and take
 under 0.01 s and 123 walks with them; G(24, 0.2, 1) went from 15.8 s to 0.4 s
 (processor time, Python 3.11 on a 2-vCPU VM).
 
-``all_weights`` runs the same searches as the per-edge functions, with four
+``all_weights`` runs the same searches as the per-edge functions, with five
 shortcuts that cannot change a result:
 
 - Block restriction. A cycle lies inside one biconnected block (Hopcroft and
@@ -48,6 +48,12 @@ shortcuts that cannot change a result:
 - Ceiling skip. No search runs once the bound equals the ceiling: the
   block's vertex count for c(e), the component's vertex count minus 1 for
   p(e).
+- Saturation stop. The crossovers of a cycle of length L keep its vertex
+  set, and the cycle rules raise only edges among those vertices, to at
+  most c = L and p = L - 1. Once every such edge has both, the crossovers
+  still queued can raise nothing, so the expansion ends there. On the 40
+  dense graphs of the search-count guard this cuts the cycle rules calls
+  from 666 to 305.
 """
 
 from __future__ import annotations
@@ -297,6 +303,10 @@ def _expand(adj: Sequence[int], p: Bounds, c: Bounds, witness: list[int], closed
     just raised, so only the root's own edges are raised here. It is expanded
     in turn only if it raised a bound, so the expansion ends even without the
     cap.
+
+    The saturation stop (``_saturated``) is tested only after a rules call
+    that queued nothing, with witnesses still queued: a call that queued a
+    crossover has just raised a bound, so the test would rarely pass there.
     """
     if closed:
         ring = witness + witness[:1]
@@ -307,8 +317,33 @@ def _expand(adj: Sequence[int], p: Bounds, c: Bounds, witness: list[int], closed
         _raise_along(p, witness, len(witness) - 1)
         rules = _path_rules
     queue = [witness]
-    for seq in queue:  # grows while it is walked
+    for i, seq in enumerate(queue):  # grows while it is walked
+        queued = len(queue)
         rules(adj, p, c, seq, queue)
+        if closed and queued == len(queue) > i + 1 and _saturated(adj, c, witness):
+            return
+
+
+def _saturated(adj: Sequence[int], c: Bounds, cycle: list[int]) -> bool:
+    """True iff every edge among the vertices of ``cycle``, of length L, has c >= L.
+
+    Each such edge also has p >= L - 1 once the rules ran on ``cycle``: the
+    cycle's own edges got it with c, and the rules give it to every chord.
+    So no crossover, which has the same vertices and length, can raise a bound.
+    """
+    length = len(cycle)
+    mask = 0
+    for x in cycle:
+        mask |= 1 << x
+    for x in cycle:
+        above = adj[x] & mask & ~((2 << x) - 1)
+        while above:
+            low = above & -above
+            above ^= low
+            y = low.bit_length() - 1
+            if c[x, y] < length:
+                return False
+    return True
 
 
 def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], queue: list[list[int]]) -> None:

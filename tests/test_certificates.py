@@ -30,6 +30,7 @@ from cliquebounds.bounds import (
     PER_ORDER_KINDS,
     binom,
     local_edge_path_bound,
+    make_report,
     order_bounds,
 )
 from cliquebounds.certificates import (
@@ -44,7 +45,13 @@ from cliquebounds.certificates import (
     is_disjoint_clique_union,
     vertex_core_certificate,
 )
+from cliquebounds.enumeration import random_gnp
 from cliquebounds.graph import connected_components, is_clique
+from cliquebounds.oracles import (
+    materialised_edge_certificate,
+    materialised_vertex_certificate,
+    materialised_vertex_core_certificate,
+)
 from cliquebounds.search import evaluate_graph, evaluate_kind
 from cliquebounds.weights import block_decomposition
 
@@ -263,6 +270,46 @@ def test_orders_sharing_a_reduced_graph_share_one_certificate(corpus6):
                 for t2 in ts:
                     same = key(t1) == key(t2)
                     assert (certificates.of(kind, t1) is certificates.of(kind, t2)) == same, (kind, t1, t2)
+
+
+def assert_views_match_the_oracles(g, ts):
+    """Every local certificate that ``OrderCertificates`` serves at each order
+    in ``ts`` equals the materialising oracle's field by field: holds,
+    evidence, the reduced graph itself (labels included, so its canonical
+    form too) and the rendered description and graph6. The core report's
+    bound from ``cross_validate`` equals local_vertex_bound of the oracle's core."""
+    w = all_weights(g)
+    certificates = OrderCertificates(g, w)
+    for t in ts:
+        core = materialised_vertex_core_certificate(g, t)
+        expected = {KIND_LOCAL_VERTEX: materialised_vertex_certificate(g, t), "vertex-core": core}
+        if t >= 2:
+            expected[KIND_LOCAL_EDGE_PATH] = materialised_edge_certificate(g, w, t)
+        for kind, oracle in expected.items():
+            cert = certificates.of(kind, t)
+            assert (cert.holds, cert.evidence, cert.reduced, cert.to_json_dict(t)) == (
+                oracle.holds, oracle.evidence, oracle.reduced, oracle.to_json_dict(t)
+            ), (g.adj, kind, t)
+        vertex = make_report(KIND_LOCAL_VERTEX, t, 0, Fraction(0), certificates.of(KIND_LOCAL_VERTEX, t))
+        assert cross_validate(vertex, certificates.of("vertex-core", t)).bound == local_vertex_bound(core.reduced, t)
+
+
+def test_views_match_the_oracles_on_every_small_graph(corpus):
+    for n in range(1, 8):
+        for g in corpus[n]:
+            assert_views_match_the_oracles(g, range(1, 9))
+
+
+def test_views_match_the_oracles_on_random_graphs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(0, 10), st.floats(0.1, 0.9), st.integers(0, 2**32 - 1))
+    def check(n, density, seed):
+        assert_views_match_the_oracles(random_gnp(n, density, seed), range(1, n + 2))
+
+    check()
 
 
 class TestCrossValidation:

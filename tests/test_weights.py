@@ -1,5 +1,7 @@
 """Path/cycle weights against the subset-DP oracle, plus block structure."""
 
+import random
+
 import pytest
 
 import cliquebounds.weights as kernel
@@ -493,16 +495,22 @@ def test_all_weights_matches_the_oracle_on_sparse_random_graphs():
     check()
 
 
+def dense_corpus():
+    """40 dense graphs, where most searches are skipped and most rules calls are saturated."""
+    return [random_gnp(n, density, seed) for n in range(10, 14) for density in (0.5, 0.7) for seed in range(5)]
+
+
 def test_exchange_rules_keep_the_searches_few(monkeypatch):
-    """A guard on the number of kernel searches over a fixed dense corpus.
+    """A guard on the number of kernel searches and rules calls over a fixed dense corpus.
 
     With every rule, the 40 graphs below take 68 cycle and 11 path searches
     (74 cycle searches before the scarcity order, which finds other
     witnesses). Without crossovers they take 455 cycle searches; without
     rotations, 28 path searches; without the chord rule, 62. The kernel of
-    witnessed incumbents alone took 566 and 34.
+    witnessed incumbents alone took 566 and 34. The cycle rules run 305
+    times, and 666 without the saturation stop.
     """
-    calls = {"cycle": 0, "path": 0}
+    calls = {"cycle": 0, "path": 0, "rules": 0}
 
     def counted(name, search):
         def wrapper(*args):
@@ -513,12 +521,64 @@ def test_exchange_rules_keep_the_searches_few(monkeypatch):
 
     monkeypatch.setattr(kernel, "_longest_cycle", counted("cycle", kernel._longest_cycle))
     monkeypatch.setattr(kernel, "_longest_path", counted("path", kernel._longest_path))
-    for n in range(10, 14):
-        for density in (0.5, 0.7):
-            for seed in range(5):
-                all_weights(random_gnp(n, density, seed))
+    monkeypatch.setattr(kernel, "_cycle_rules", counted("rules", kernel._cycle_rules))
+    for g in dense_corpus():
+        all_weights(g)
     assert calls["cycle"] <= 100, calls
     assert calls["path"] <= 20, calls
+    assert calls["rules"] <= 350, calls
+
+
+def assert_expand_is_unchanged_by_the_stop(adj, p, c, witness, closed, monkeypatch):
+    """``_expand`` leaves p and c, dict for dict, as the same expansion
+    without the saturation stop leaves them."""
+    unstopped_p, unstopped_c = dict(p), dict(c)
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "_saturated", lambda *args: False)
+        kernel._expand(adj, unstopped_p, unstopped_c, witness, closed)
+    kernel._expand(adj, p, c, witness, closed)
+    assert (p, c) == (unstopped_p, unstopped_c), (adj, witness)
+
+
+def assert_the_saturation_stop_is_exact(g, monkeypatch):
+    """Each ``_expand`` call that ``all_weights(g)`` makes is unchanged by the stop."""
+    expand = kernel._expand
+
+    def compared(adj, p, c, witness, closed):
+        with monkeypatch.context() as m:
+            m.setattr(kernel, "_expand", expand)
+            assert_expand_is_unchanged_by_the_stop(adj, p, c, witness, closed, monkeypatch)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernel, "_expand", compared)
+        all_weights(g)
+
+
+def test_saturation_stop_is_exact_on_dense_graphs(monkeypatch):
+    for g in dense_corpus():
+        assert_the_saturation_stop_is_exact(g, monkeypatch)
+
+
+def test_saturation_stop_is_exact_on_random_graphs(monkeypatch):
+    """Also from random bounds: the stop's argument holds whatever p and c
+    hold, and arbitrary bounds reach states that ``all_weights`` rarely does."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 10), st.floats(0.2, 0.9), st.integers(0, 2**32 - 1))
+    def check(n, density, seed):
+        g = random_gnp(n, density, seed)
+        assert_the_saturation_stop_is_exact(g, monkeypatch)
+        rng = random.Random(seed)
+        for u, v in g.edges():
+            _, cyc = _longest_cycle(g.adj, u, v, g.vertex_mask(), 1)
+            if cyc is not None:
+                p = {e: rng.randint(1, n - 1) for e in g.edges()}
+                c = {e: rng.randint(2, n) for e in g.edges()}
+                assert_expand_is_unchanged_by_the_stop(g.adj, p, c, cyc, True, monkeypatch)
+
+    check()
 
 
 def test_pruning_rules_keep_the_kernel_nodes_few(monkeypatch):
