@@ -197,7 +197,8 @@ class BoundReport:
 
 
 def make_report(kind: str, t: int | None, count: int, bound: Fraction, certificate=None) -> BoundReport:
-    slack = bound - count
+    # bound - count, built directly: Fraction's operator dispatch costs twice as much
+    slack = Fraction(bound.numerator - count * bound.denominator, bound.denominator)
     return BoundReport(kind, t, count, bound, slack, equals_count(count, bound), certificate)
 
 

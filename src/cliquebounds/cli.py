@@ -9,6 +9,7 @@ format renders them as "num/den (~ decimal)".
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -46,10 +47,10 @@ from .search import (
     GraphSource,
     OrderEvaluation,
     SearchConfig,
+    csv_rows,
     evaluate_graph,
     findings_to_jsonl,
     order_range,
-    rows_to_csv,
     run_sweep,
     summary_to_json,
 )
@@ -233,9 +234,6 @@ def _write_outputs(args, result) -> None:
     if args.summary:
         with open(args.summary, "w", encoding="ascii") as fh:
             fh.write(summary_to_json(result.summary))
-    if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
-            fh.write(rows_to_csv(result.rows))
 
 
 def _parse_fail_on(raw: str) -> set[str]:
@@ -295,10 +293,11 @@ def _sweep(args, source: GraphSource, **options) -> int:
         parallelism=args.parallelism if args.parallelism is not None else _default_parallelism(),
         equality_cap=args.equality_cap,
         weight_cap=args.weight_cap,
-        collect_rows=bool(args.csv),
         **options,
     )
-    result = run_sweep(source, config)
+    # The CSV is opened before the first graph is read, and takes each row as it is merged.
+    with open(args.csv, "w", encoding="ascii", newline="") if args.csv else contextlib.nullcontext() as fh:
+        result = run_sweep(source, config, None if fh is None else csv_rows(fh))
     _write_outputs(args, result)
     if args.format == "jsonl":
         sys.stdout.write(findings_to_jsonl(result.findings))

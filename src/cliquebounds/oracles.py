@@ -8,7 +8,10 @@ capped well below the production limits. The canonical-labeling oracle shares
 only the vertex refinement, which defines the canonical form; it tries every
 order the refinement allows, with no pruning. The local certificate oracles
 share only the threshold sets, which define the reduced graphs: they build
-each reduced graph, relabelled, and test its components one by one.
+each reduced graph, relabelled, and test its components one by one. The
+cycle rules reference finds each chord's neighbours on the cycle through
+successor and predecessor maps and each crossover's indices by search; it
+shares only ``_crossover``, which has tests of its own.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .certificates import EqualityCertificate, x_core, x_set, z_set
 from .cliques import CliqueCounts
 from .enumeration import _refined_classes
 from .graph import Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits
-from .weights import CapExceededError, WeightMap, block_decomposition
+from .weights import WITNESS_CAP, Bounds, CapExceededError, WeightMap, _crossover, block_decomposition
 
 NAIVE_CLIQUE_CAP = 10
 DP_WEIGHT_CAP = 12
@@ -167,6 +170,39 @@ def dp_all_weights(g: Graph) -> WeightMap:
     circumference = max((x for x in c.values() if x >= 3), default=0)
     # The blocks are not what this oracle checks; tests compare them with networkx.
     return WeightMap(p, c, longest_path, circumference, block_decomposition(g))
+
+
+def reference_cycle_rules(adj: list[int], p: Bounds, c: Bounds, cycle: list[int], queue: list[list[int]]) -> None:
+    """Oracle ``weights._cycle_rules``: the same raises of p and c, and the same
+    crossovers queued in the same order, with each chord's neighbours on the
+    cycle looked up in maps and each orientation taken from a tuple."""
+    length = len(cycle)
+    mask = 0
+    for x in cycle:
+        mask |= 1 << x
+    ring = cycle + cycle[:1]
+    succ = dict(zip(cycle, ring[1:]))
+    pred = dict(zip(ring[1:], cycle))
+    reverse = cycle[::-1]
+    for x in cycle:
+        sx, px = succ[x], pred[x]
+        # each chord once, from its lower end
+        chords = adj[x] & mask & ~((1 << sx) | (1 << px)) & ~((1 << x) - 1)
+        while chords:
+            low = chords & -chords
+            chords ^= low
+            y = low.bit_length() - 1
+            if p[x, y] < length - 1:
+                p[x, y] = length - 1
+            for order, a, b in ((cycle, sx, succ[y]), (reverse, px, pred[y])):
+                if not adj[a] >> b & 1:
+                    continue
+                key = (a, b) if a < b else (b, a)
+                if c[x, y] < length or c[key] < length:
+                    c[x, y] = max(c[x, y], length)
+                    c[key] = max(c[key], length)
+                    if len(queue) <= WITNESS_CAP:
+                        queue.append(_crossover(order, order.index(x), order.index(y)))
 
 
 def product_canonical_graph(g: Graph) -> Graph:

@@ -347,33 +347,47 @@ def _saturated(adj: Sequence[int], c: Bounds, cycle: list[int]) -> bool:
 
 
 def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], queue: list[list[int]]) -> None:
+    """The chord and crossover rules on ``cycle``, of length L, at positions
+    taken mod L: each chord c_i c_j gets p >= L - 1, and each crossing edge,
+    forward c_{i+1} c_{j+1} or backward c_{i-1} c_{j-1}, gets c >= L with the
+    chord; a crossover that raised either is queued, forward first."""
     length = len(cycle)
+    last = length - 1
     mask = 0
-    for x in cycle:
+    position = {}
+    for i, x in enumerate(cycle):
         mask |= 1 << x
+        position[x] = i
     ring = cycle + cycle[:1]
-    succ = dict(zip(cycle, ring[1:]))
-    pred = dict(zip(ring[1:], cycle))
     reverse = cycle[::-1]
-    for x in cycle:
-        sx, px = succ[x], pred[x]
+    for i, x in enumerate(cycle):
+        sx, px = ring[i + 1], cycle[i - 1]
         # each chord once, from its lower end
         chords = adj[x] & mask & ~((1 << sx) | (1 << px)) & ~((1 << x) - 1)
         while chords:
             low = chords & -chords
             chords ^= low
             y = low.bit_length() - 1
-            if p[x, y] < length - 1:
-                p[x, y] = length - 1
-            for order, a, b in ((cycle, sx, succ[y]), (reverse, px, pred[y])):
-                if not adj[a] >> b & 1:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                if c[x, y] < length or c[key] < length:
-                    c[x, y] = max(c[x, y], length)
+            xy = (x, y)
+            if p[xy] < last:
+                p[xy] = last
+            j = position[y]
+            sy = ring[j + 1]
+            if adj[sx] >> sy & 1:
+                key = (sx, sy) if sx < sy else (sy, sx)
+                if c[xy] < length or c[key] < length:
+                    c[xy] = max(c[xy], length)
                     c[key] = max(c[key], length)
                     if len(queue) <= WITNESS_CAP:
-                        queue.append(_crossover(order, order.index(x), order.index(y)))
+                        queue.append(_crossover(cycle, i, j))
+            py = cycle[j - 1]
+            if adj[px] >> py & 1:
+                key = (px, py) if px < py else (py, px)
+                if c[xy] < length or c[key] < length:
+                    c[xy] = max(c[xy], length)
+                    c[key] = max(c[key], length)
+                    if len(queue) <= WITNESS_CAP:
+                        queue.append(_crossover(reverse, last - i, last - j))
 
 
 def _path_rules(adj: Sequence[int], p: Bounds, c: Bounds, path: list[int], queue: list[list[int]]) -> None:

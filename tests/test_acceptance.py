@@ -267,13 +267,16 @@ def test_exhaustive_sweep_at_eight_vertices(capsys, tmp_path):
     equality instances that the default cap of 100 per (n, t) lets through
     for t = 2..8. Nothing else is found, at t >= 3 in particular.
     """
-    findings_path, summary_path = tmp_path / "findings.jsonl", tmp_path / "summary.json"
+    findings_path, summary_path, csv_path = (tmp_path / name for name in ("findings.jsonl", "summary.json", "rows.csv"))
     code = main(["search", "--exhaustive", "8", "--t", "2:8", "--parallelism", "2",
-                 "--findings", str(findings_path), "--summary", str(summary_path)])
+                 "--findings", str(findings_path), "--summary", str(summary_path), "--csv", str(csv_path)])
     capsys.readouterr()
     assert code == 0
     summary = json.loads(summary_path.read_text())
     assert summary["graphs"] == 12346 and summary["cap_errors"] == []
+    # every evaluation streamed through the pool is one CSV row, after the header
+    evaluations = sum(ks["evaluations"] for by_kind in summary["by_nt"].values() for ks in by_kind.values())
+    assert csv_path.read_text().count("\n") == 1 + evaluations
     findings = [Finding.from_json_dict(json.loads(line)) for line in findings_path.read_text().splitlines()]
     discrepancies = [f for f in findings if f.category == CATEGORY_CHAR_DISCREPANCY]
     equalities = [f for f in findings if f.category == CATEGORY_EQUALITY_INSTANCE]

@@ -151,6 +151,22 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "line 3" in err
 
+    def test_malformed_line_keeps_the_rows_before_it(self, capsys, tmp_path):
+        """The CSV is streamed: a stop at line 3 leaves the header and the rows
+        of lines 1-2, and writes no findings and no summary."""
+        path = tmp_path / "bad.g6"
+        path.write_text("C~\nBw\nE??*\nCs\n")
+        outputs = {name: tmp_path / name for name in ("findings.jsonl", "summary.json", "rows.csv")}
+        code, _, err = run(capsys, "verify", str(path), "--t", "2:3", "--findings", str(outputs["findings.jsonl"]),
+                           "--summary", str(outputs["summary.json"]), "--csv", str(outputs["rows.csv"]))
+        assert code == EXIT_USAGE and "line 3" in err
+        assert not outputs["findings.jsonl"].exists() and not outputs["summary.json"].exists()
+        header, *rows = outputs["rows.csv"].read_text().splitlines()
+        assert header.startswith("graph6,n,m,t,kind,")
+        # K4, then K3, each at t = 2 and 3, with one row per default kind
+        cells = [row.split(",") for row in rows]
+        assert [(c[0], c[3]) for c in cells] == [(line, t) for line in ("C~", "Bw") for t in "23" for _ in range(4)]
+
     def test_stdin_is_streamed_not_read_whole(self, capsys, monkeypatch, tmp_path):
         class LinesOnly(io.StringIO):
             def read(self, *args):
@@ -308,6 +324,20 @@ class TestSearch:
         code, out, err = run(capsys, "search", *argv)
         assert code == EXIT_USAGE
         assert named in err and "graphs analyzed" not in out
+
+    def test_unwritable_csv_exits_2_before_any_graph(self, capsys, monkeypatch, tmp_path):
+        import cliquebounds.search as search
+
+        def no_graphs(*args, **kwargs):
+            raise AssertionError("a graph was evaluated")
+
+        monkeypatch.setattr(search, "evaluate_graph", no_graphs)
+        findings, summary = tmp_path / "findings.jsonl", tmp_path / "summary.json"
+        code, out, err = run(capsys, "search", "--exhaustive", "1,2,3,4,5,6", "--findings", str(findings),
+                             "--summary", str(summary), "--csv", str(tmp_path / "no" / "such" / "x.csv"))
+        assert code == EXIT_USAGE
+        assert "x.csv" in err and "graphs analyzed" not in out
+        assert not findings.exists() and not summary.exists()
 
     @pytest.mark.parametrize("value", ["EQUALITY_INSTENCE", "CHAR_DISCREPANCY,bogus"])
     def test_unknown_fail_on_category_exits_2(self, capsys, value):

@@ -110,11 +110,14 @@ def test_edge_only_search_runs_no_core_decomposition(tmp_path, capsys, monkeypat
     assert len(calls) == 7  # one per graph on up to 3 vertices
 
 
-def test_verify_dense_outputs_are_byte_identical(tmp_path, capsys):
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_verify_dense_outputs_are_byte_identical(tmp_path, capsys, parallelism):
+    """The same bytes, the CSV rows included, whether merged in process or from the pool."""
     source = tmp_path / "dense.g6"
     source.write_text("".join(write_graph6(g) + "\n" for g in DENSE_GRAPHS))
     assert len(DENSE_GRAPHS) == 42 and min(g.m for g in DENSE_GRAPHS) == 18
-    assert sweep_hashes(["verify", str(source)], tmp_path, capsys) == VERIFY_DENSE_SHA256
+    argv = ["verify", str(source), "--parallelism", parallelism]
+    assert sweep_hashes(argv, tmp_path, capsys) == VERIFY_DENSE_SHA256
 
 
 def analyze_small_hash(fmt: str, capsys) -> str:

@@ -3,6 +3,7 @@
 import csv
 import functools
 import io
+import pickle
 
 import pytest
 
@@ -63,9 +64,9 @@ from cliquebounds.search import (
     CATEGORY_EQUALITY_INSTANCE,
     CATEGORY_MIN_SLACK,
     CSV_COLUMNS,
+    csv_rows,
     evaluate_graph,
     findings_to_jsonl,
-    rows_to_csv,
     summary_to_json,
 )
 
@@ -99,12 +100,10 @@ def test_all_findings_replay(small_sweep):
 
 def test_replay_rejects_tampered_witness(small_sweep):
     finding = next(f for f in small_sweep.findings if f.category == CATEGORY_EQUALITY_INSTANCE)
-    from dataclasses import replace
-
-    assert not replay_finding(replace(finding, count=finding.count + 1))
-    assert not replay_finding(replace(finding, graph6="garbage"))
-    assert not replay_finding(replace(finding, kind="bogus"))
-    assert not replay_finding(replace(finding, t=0))
+    assert not replay_finding(finding._replace(count=finding.count + 1))
+    assert not replay_finding(finding._replace(graph6="garbage"))
+    assert not replay_finding(finding._replace(kind="bogus"))
+    assert not replay_finding(finding._replace(t=0))
 
 
 @pytest.mark.parametrize("t_min, t_max, message", [
@@ -168,18 +167,16 @@ SWAPPED_CATEGORY = {
 
 @pytest.mark.parametrize("category", sorted(SWAPPED_CATEGORY))
 def test_replay_rejects_tampered_findings(min_slack_sweep, category):
-    from dataclasses import replace
-
     findings = [f for f in min_slack_sweep.findings if f.category == category]
     assert findings
     for f in findings:
-        assert not replay_finding(replace(f, count=f.count + 1)), f
-        assert not replay_finding(replace(f, bound_num=f.bound_num + 1)), f
-        assert not replay_finding(replace(f, category=SWAPPED_CATEGORY[category])), f
+        assert not replay_finding(f._replace(count=f.count + 1)), f
+        assert not replay_finding(f._replace(bound_num=f.bound_num + 1)), f
+        assert not replay_finding(f._replace(category=SWAPPED_CATEGORY[category])), f
     swaps = [(f, w) for f in findings if (w := _swap_witness(f)) is not None]
     assert swaps
     for f, witness in swaps:
-        assert not replay_finding(replace(f, graph6=witness)), (f, witness)
+        assert not replay_finding(f._replace(graph6=witness)), (f, witness)
 
 
 def test_parallel_determinism(small_sweep):
@@ -295,9 +292,10 @@ def test_stop_on_first_stops_after_the_first_violating_graph(monkeypatch, broken
 
 def test_rows_csv_columns():
     kinds = _parse_kinds("all")
-    result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5)),
-                       SearchConfig(t_min=1, t_max=5, kinds=kinds, collect_rows=True))
-    text = rows_to_csv(result.rows)
+    buf = io.StringIO()
+    run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5)), SearchConfig(t_min=1, t_max=5, kinds=kinds),
+              csv_rows(buf))
+    text = buf.getvalue()
     assert text.splitlines()[0].split(",") == CSV_COLUMNS
     table = list(csv.DictReader(io.StringIO(text)))
     rows = {(r["graph6"], int(r["t"]), r["kind"]): r for r in table}
@@ -320,6 +318,9 @@ def test_rows_csv_columns():
 def test_finding_round_trips_through_json(small_sweep):
     f = small_sweep.findings[0]
     assert Finding.from_json_dict(f.to_json_dict()) == f
+    assert pickle.loads(pickle.dumps(f)) == f  # as it crosses the process pool
+    with pytest.raises(AttributeError):
+        f.count = f.count + 1
 
 
 def test_cap_errors_are_counted_not_skipped():
@@ -345,7 +346,7 @@ def test_dominance_violation_is_reported_and_replays(monkeypatch):
     dom = [f for f in result.findings if f.kind == "dominance_vertex"]
     assert len(dom) == 1 and dom[0].category == CATEGORY_BOUND_VIOLATION
     assert replay_finding(dom[0])
-    assert not replay_finding(replace(dom[0], bound_num=dom[0].bound_num + 1))
+    assert not replay_finding(dom[0]._replace(bound_num=dom[0].bound_num + 1))
 
 
 def test_evaluate_graph_matches_the_per_t_functions(corpus):
@@ -483,8 +484,9 @@ def test_each_verdict_is_decided_once_per_graph_and_order(monkeypatch):
     for module in (certificates, search):
         monkeypatch.setattr(module, "conjecture_verdict", verdict)
         monkeypatch.setattr(module, "cross_validate", cross)
-    result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5, 6)), SearchConfig(collect_rows=True))
-    evaluated = Counter(f.kind for f in result.rows)
+    rows = []
+    run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5, 6)), SearchConfig(), rows.append)
+    evaluated = Counter(f.kind for f in rows)
     assert evaluated[KIND_LOCAL_EDGE_PATH] > 0 and evaluated[KIND_LOCAL_EDGE_CYCLE] > 0
     assert verdicts == {kind: evaluated[kind] for kind in VERDICT_KINDS}
     assert len(crosses) == evaluated[KIND_LOCAL_VERTEX] > 0

@@ -17,7 +17,7 @@ from cliquebounds import (
 )
 from cliquebounds.enumeration import random_gnp
 from cliquebounds.graph import GraphError, connected_components
-from cliquebounds.oracles import dp_all_weights
+from cliquebounds.oracles import dp_all_weights, reference_cycle_rules
 from cliquebounds.weights import _crossover, _expand, _longest_cycle, _longest_path, _rotation, block_vertex_sets
 
 
@@ -577,6 +577,34 @@ def test_saturation_stop_is_exact_on_random_graphs(monkeypatch):
                 p = {e: rng.randint(1, n - 1) for e in g.edges()}
                 c = {e: rng.randint(2, n) for e in g.edges()}
                 assert_expand_is_unchanged_by_the_stop(g.adj, p, c, cyc, True, monkeypatch)
+
+    check()
+
+
+def test_cycle_rules_match_the_reference():
+    """``_cycle_rules`` against the reference rules: a cycle planted on random
+    vertices in random order, random chords and other edges, random p and c,
+    and a queue that starts short or next to the witness cap. p, c and the
+    queue must come out equal, the crossovers in the same order."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(3, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def check(length, density, seed):
+        rng = random.Random(seed)
+        n = length + rng.randint(0, 3)
+        cyc = rng.sample(range(n), length)
+        edges = {tuple(sorted((x, y))) for x, y in zip(cyc, cyc[1:] + cyc[:1])}
+        edges |= {(u, v) for v in range(n) for u in range(v) if rng.random() < density}
+        g = from_edge_list(n, sorted(edges))
+        p = {e: rng.randint(1, n) for e in g.edges()}
+        c = {e: rng.randint(2, n + 1) for e in g.edges()}
+        queue = [cyc] * rng.choice((1, kernel.WITNESS_CAP - 1, kernel.WITNESS_CAP + 1))
+        want_p, want_c, want_queue = dict(p), dict(c), list(queue)
+        reference_cycle_rules(g.adj, want_p, want_c, cyc, want_queue)
+        kernel._cycle_rules(g.adj, p, c, cyc, queue)
+        assert (p, c, queue) == (want_p, want_c, want_queue), (g.edges(), cyc)
 
     check()
 
