@@ -1,11 +1,16 @@
 """Clique-count upper bounds as exact rationals.
 
-Every bound is returned as a ``fractions.Fraction`` (always in lowest terms),
-and equality against an integer count is decided by integer cross
-multiplication; no floating point ever touches the equality path. Binomial
+Every bound is a ``fractions.Fraction`` in lowest terms, built once:
+``order_bounds`` sums each order's integer numerator over the degree, p(e)
+and c(e) histograms and makes one ``Fraction`` per (kind, t). Binomial
 coefficients use the vanishing convention C(a, b) = 0 for b < 0 or b > a,
 which is what makes sub-threshold degree and weight terms drop out of the
-sums.
+sums. Equality against an integer count, and the dominance of a localized
+bound by its classical one, are decided by integer cross multiplication; no
+floating point ever touches the equality or slack path. A slack (bound
+minus count, or classical minus localized bound) is a ``Fraction`` built
+only when read; the sweep reads a report's slack as the integer pair
+``BoundReport.slack_terms`` and builds none.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .graph import Graph
@@ -139,9 +145,11 @@ def classical_cycle_r(weights: WeightMap) -> int:
     return max(weights.circumference, 2)
 
 
-def _binom_sum(histogram: dict[int, int], shift: int, b: int) -> int:
-    """sum over the histogram's values x, with multiplicity, of C(x + shift, b)."""
-    return sum(k * binom(x + shift, b) for x, k in histogram.items())
+def _binom_sum(histogram: list[tuple[int, int]], b: int) -> int:
+    """sum over the histogram's values x, with multiplicity k, of k * C(x, b);
+    b >= 0, and a term with x < b vanishes (x may be negative)."""
+    comb = math.comb
+    return sum(k * comb(x, b) for x, k in histogram if x >= b)
 
 
 def order_bounds(g: Graph, weights: WeightMap, ts: Iterable[int]) -> dict[int, dict[str, Fraction]]:
@@ -150,39 +158,64 @@ def order_bounds(g: Graph, weights: WeightMap, ts: Iterable[int]) -> dict[int, d
 
     This is the one place a per-order bound is computed: the reports and the
     dominance record of (g, t) read this table. Each local bound is a sum of
-    binomials over the degrees, p(e) or c(e) (``local_vertex_bound`` and its
-    siblings, the per-t oracle); here it runs over a histogram of the
-    distinct values, built once for all orders.
+    binomials over the degrees, p(e) - 1 or c(e) - 2 (``local_vertex_bound``
+    and its siblings, the per-t oracle); here it runs over a histogram of the
+    distinct values, built once for all orders. The classical bounds are the
+    closed forms of ``wood_bound`` and ``cc_path_bound``, with their premises
+    checked once per graph. Each order's numerators are integers, and each
+    (kind, t) entry is the one ``Fraction`` built from them.
     """
-    degrees, p, c = Counter(g.degrees()), Counter(weights.p.values()), Counter(weights.c.values())
-    d = g.max_degree()
-    path_r, cycle_r = classical_path_r(weights, g.m), classical_cycle_r(weights)
+    n, d, m = g.n, g.max_degree(), g.m
+    path_r, cycle_r = classical_path_r(weights, m), classical_cycle_r(weights)
+    if min(n, d, m) < 0 or min(path_r, cycle_r) < 2:
+        raise ValueError(f"invalid premises n={n}, max degree={d}, m={m}, path r={path_r}, cycle r={cycle_r}")
+    degrees = list(Counter(g.degrees()).items())
+    p = [(x - 1, k) for x, k in Counter(weights.p.values()).items()]
+    c = [(x - 2, k) for x, k in Counter(weights.c.values()).items()]
+    comb = math.comb
+    path_pairs, cycle_pairs = comb(path_r, 2), comb(cycle_r, 2)
     tables = {}
     for t in ts:
         if t < 1:
             raise ValueError(f"clique order must be >= 1, got {t}")
-        table = {KIND_LOCAL_VERTEX: Fraction(_binom_sum(degrees, 0, t - 1), t), KIND_WOOD: wood_bound(g.n, d, t)}
+        table = {
+            KIND_LOCAL_VERTEX: Fraction(_binom_sum(degrees, t - 1), t),
+            KIND_WOOD: Fraction(n * comb(d + 1, t), d + 1),
+        }
         if t >= 2:
-            pairs = binom(t, 2)
-            table[KIND_LOCAL_EDGE_PATH] = Fraction(_binom_sum(p, -1, t - 2), pairs)
-            table[KIND_LOCAL_EDGE_CYCLE] = Fraction(_binom_sum(c, -2, t - 2), pairs)
-            table[KIND_CC_PATH] = cc_path_bound(g.m, path_r, t)
-            table[KIND_CC_CYCLE] = cc_cycle_bound(g.m, cycle_r, t)
+            pairs = comb(t, 2)
+            table[KIND_LOCAL_EDGE_PATH] = Fraction(_binom_sum(p, t - 2), pairs)
+            table[KIND_LOCAL_EDGE_CYCLE] = Fraction(_binom_sum(c, t - 2), pairs)
+            table[KIND_CC_PATH] = Fraction(m * comb(path_r, t), path_pairs)
+            table[KIND_CC_CYCLE] = Fraction(m * comb(cycle_r, t), cycle_pairs)
         tables[t] = table
     return tables
 
 
 @dataclass
 class BoundReport:
-    """One bound evaluated against the exact count for a (graph, t, kind) triple."""
+    """One bound evaluated against the exact count for a (graph, t, kind) triple.
+
+    Built by ``make_report``. The slack, bound - count, is a ``Fraction``
+    built on first read; ``slack_terms`` gives it as integers.
+    """
 
     kind: str
     t: int | None
     count: int
     bound: Fraction
-    slack: Fraction
     equality: bool
     certificate: object | None = None
+
+    def slack_terms(self) -> tuple[int, int]:
+        """bound - count as (numerator, denominator), denominator > 0, in lowest
+        terms: gcd(num - count * den, den) = gcd(num, den) = 1."""
+        bound = self.bound
+        return bound.numerator - self.count * bound.denominator, bound.denominator
+
+    @cached_property
+    def slack(self) -> Fraction:
+        return Fraction(*self.slack_terms())
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,9 +230,7 @@ class BoundReport:
 
 
 def make_report(kind: str, t: int | None, count: int, bound: Fraction, certificate=None) -> BoundReport:
-    # bound - count, built directly: Fraction's operator dispatch costs twice as much
-    slack = Fraction(bound.numerator - count * bound.denominator, bound.denominator)
-    return BoundReport(kind, t, count, bound, slack, equals_count(count, bound), certificate)
+    return BoundReport(kind, t, count, bound, equals_count(count, bound), certificate)
 
 
 def fraction_json(x: Fraction) -> dict:
@@ -212,28 +243,47 @@ def format_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator} (≈ {float(x):.6g})"
 
 
+def _at_most(a: Fraction, b: Fraction) -> bool:
+    """a <= b by integer cross multiplication (denominators are positive)."""
+    return a.numerator * b.denominator <= b.numerator * a.denominator
+
+
 @dataclass
 class DominanceRecord:
-    """Localized-versus-classical comparison for one (graph, t)."""
+    """Localized-versus-classical comparison for one (graph, t).
+
+    The slacks, classical minus localized bound, are ``Fraction``s built on
+    first read.
+    """
 
     t: int
     max_degree: int
     local_vertex: Fraction
     wood: Fraction
     vertex_ok: bool
-    vertex_slack: Fraction
     path_r: int | None
     local_edge: Fraction | None
     cc_path: Fraction | None
     edge_ok: bool
-    edge_slack: Fraction | None
+
+    JSON_KEYS = ("t", "max_degree", "local_vertex", "wood", "vertex_ok", "vertex_slack",
+                 "path_r", "local_edge", "cc_path", "edge_ok", "edge_slack")
+
+    @cached_property
+    def vertex_slack(self) -> Fraction:
+        return self.wood - self.local_vertex
+
+    @cached_property
+    def edge_slack(self) -> Fraction | None:
+        return None if self.cc_path is None else self.cc_path - self.local_edge
 
     @property
     def ok(self) -> bool:
         return self.vertex_ok and self.edge_ok
 
     def to_json_dict(self) -> dict:
-        return {k: fraction_json(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
+        values = ((k, getattr(self, k)) for k in self.JSON_KEYS)
+        return {k: fraction_json(v) if isinstance(v, Fraction) else v for k, v in values}
 
 
 def compare_local_vs_classical(g: Graph, weights: WeightMap, t: int, bounds: dict[str, Fraction]) -> DominanceRecord:
@@ -248,20 +298,17 @@ def compare_local_vs_classical(g: Graph, weights: WeightMap, t: int, bounds: dic
     if t < 2:
         raise ValueError(f"clique order must be >= 2, got {t}")
     lv, wd = bounds[KIND_LOCAL_VERTEX], bounds[KIND_WOOD]
-    r = le = cc = edge_slack = None
+    r = le = cc = None
     if g.m > 0:
         r, le, cc = classical_path_r(weights, g.m), bounds[KIND_LOCAL_EDGE_PATH], bounds[KIND_CC_PATH]
-        edge_slack = cc - le
     return DominanceRecord(
         t=t,
         max_degree=g.max_degree(),
         local_vertex=lv,
         wood=wd,
-        vertex_ok=lv <= wd,
-        vertex_slack=wd - lv,
+        vertex_ok=_at_most(lv, wd),
         path_r=r,
         local_edge=le,
         cc_path=cc,
-        edge_ok=edge_slack is None or edge_slack >= 0,
-        edge_slack=edge_slack,
+        edge_ok=cc is None or _at_most(le, cc),
     )

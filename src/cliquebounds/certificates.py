@@ -61,6 +61,7 @@ has t-1 neighbours in it, so the core's K_t count is g's.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,7 +70,7 @@ from typing import Callable, Iterable, Sequence
 
 from .bounds import (
     KIND_CC_CYCLE, KIND_CC_PATH, KIND_LOCAL_EDGE_CYCLE, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, KIND_WOOD, BoundReport,
-    binom, classical_cycle_r, classical_path_r, make_report,
+    classical_cycle_r, classical_path_r, make_report,
 )
 from .graph import (
     Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits, reachable_within, write_graph6,
@@ -329,8 +330,13 @@ def cross_validate(vertex: BoundReport, core_cert: EqualityCertificate) -> Bound
     from the certificate's view: d(v) is v's degree within the kept set.
     """
     t, adj, keep = vertex.t, core_cert.graph.adj, core_cert.keep
-    bound = Fraction(sum(binom((adj[v] & keep).bit_count(), t - 1) for v in iter_bits(keep)), t)
-    return make_report(KIND_LOCAL_VERTEX, t, vertex.count, bound, core_cert)
+    # each degree and t - 1 are >= 0, and math.comb gives C(d, t - 1) = 0 for d < t - 1
+    comb, b, total, rest = math.comb, t - 1, 0, keep
+    while rest:
+        low = rest & -rest
+        total += comb((adj[low.bit_length() - 1] & keep).bit_count(), b)
+        rest ^= low
+    return make_report(KIND_LOCAL_VERTEX, t, vertex.count, Fraction(total, t), core_cert)
 
 
 def conjecture_verdict(report: BoundReport) -> str:

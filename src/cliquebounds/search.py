@@ -16,7 +16,8 @@ result, ``sweep_worker`` builds each finding from it once, and
 ``replay_finding`` re-evaluates a witness through ``sweep_worker`` and looks
 for the finding among the ones it builds. A sweep renders no certificate: a
 finding reads only a certificate's outcome, and a vertex discrepancy its
-core's graph6.
+core's graph6. Nor does it build a slack: a finding reads its report's slack
+as integer terms.
 
 Workers see one graph at a time (parsed once by the source, with its graph6
 line, which doubles as the witness string) and return its findings.
@@ -249,7 +250,7 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
     ``config.kinds`` order, each kind once, then the characterization
     discrepancies, then the dominance violations. An evaluation is a
     violation, an EQUALITY_INSTANCE or a MIN_SLACK candidate by the sign of
-    its report's slack."""
+    its report's slack, read as integers (``BoundReport.slack_terms``)."""
     line, g = item
     record: dict = {"graph6": line, "n": g.n, "error": None, "findings": []}
     try:
@@ -258,22 +259,23 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
         record["error"] = str(exc)
         return record
 
-    def finding(category, t, kind, count, bound, slack, certificate, detail) -> Finding:
+    def finding(category, t, kind, count, bound, slack_num, slack_den, certificate, detail) -> Finding:
         return Finding(category, line, g.n, g.m, t, kind, count, bound.numerator, bound.denominator,
-                       slack.numerator, slack.denominator, certificate, detail)
+                       slack_num, slack_den, certificate, detail)
 
     evals, discrepancies, violations = [], [], []
     for order in evaluation.orders:
         t, count, reports = order.t, order.count, order.reports
         for kind, r in reports.items():
-            if r.slack.numerator < 0:
+            slack_num, slack_den = r.slack_terms()
+            if slack_num < 0:
                 category = CATEGORY_CONJECTURE_VIOLATION if kind == KIND_LOCAL_EDGE_CYCLE else CATEGORY_BOUND_VIOLATION
                 detail = f"count exceeds bound by {-r.slack}"
             elif r.equality:
                 category, detail = CATEGORY_EQUALITY_INSTANCE, "bound attained exactly"
             else:
                 category, detail = CATEGORY_MIN_SLACK, "smallest positive slack for this (n,t,kind)"
-            evals.append(finding(category, t, kind, count, r.bound, r.slack, r.certificate.holds, detail))
+            evals.append(finding(category, t, kind, count, r.bound, slack_num, slack_den, r.certificate.holds, detail))
         for kind, verdict in order.verdicts.items():
             if verdict != VERDICT_DISCREPANCY:
                 continue
@@ -284,18 +286,31 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
             else:
                 forest = "block-forest " if kind == KIND_LOCAL_EDGE_CYCLE else ""
                 detail = f"equality {r.equality} vs {forest}certificate {cert}"
-            discrepancies.append(finding(CATEGORY_CHAR_DISCREPANCY, t, kind, count, r.bound, r.slack, cert, detail))
+            discrepancies.append(
+                finding(CATEGORY_CHAR_DISCREPANCY, t, kind, count, r.bound, *r.slack_terms(), cert, detail)
+            )
         dom = order.dominance
         pairs = []
         if dom is not None and not dom.vertex_ok:
-            pairs.append((KIND_DOMINANCE_VERTEX, dom.local_vertex, dom.wood))
+            pairs.append((KIND_DOMINANCE_VERTEX, dom.local_vertex, dom.wood, dom.vertex_slack))
         if dom is not None and not dom.edge_ok:
-            pairs.append((KIND_DOMINANCE_EDGE, dom.local_edge, dom.cc_path))
-        for kind, local, classical in pairs:
+            pairs.append((KIND_DOMINANCE_EDGE, dom.local_edge, dom.cc_path, dom.edge_slack))
+        for kind, local, classical, slack in pairs:
             detail = f"localized bound {local} exceeds classical bound {classical}"
-            violations.append(finding(CATEGORY_BOUND_VIOLATION, t, kind, 0, classical, classical - local, None, detail))
+            violations.append(finding(CATEGORY_BOUND_VIOLATION, t, kind, 0, classical, slack.numerator,
+                                      slack.denominator, None, detail))
     record["findings"] = evals + discrepancies + violations
     return record
+
+
+def _until_error(graphs: Iterator[tuple[str, Graph]], errors: list[GraphError]) -> Iterator[tuple[str, Graph]]:
+    """The source's graphs up to its first malformed one, whose ``GraphError``
+    is appended to ``errors`` instead of raised: a pool that reads the whole
+    source before the first record is merged still gets the graphs before it."""
+    try:
+        yield from graphs
+    except GraphError as exc:
+        errors.append(exc)
 
 
 @dataclass
@@ -310,7 +325,9 @@ def run_sweep(
     """Drive the sweep over a graph source.
 
     Each evaluation finding goes to ``rows``, when given, as its record is
-    merged, so a stop on a malformed line keeps the rows before it. Output
+    merged. A malformed line ends the source: every record before it is
+    merged, and then its ``GraphError`` is raised, at any parallelism, unless
+    ``stop_on_first`` stopped the sweep first. Output
     (findings, summary, rows) is deterministic: results are merged in stream
     order regardless of the parallelism width.
     """
@@ -321,8 +338,10 @@ def run_sweep(
     graphs_per_n: dict[int, int] = {}
     cap_errors: list[str] = []
     worker = partial(sweep_worker, config=config)
+    malformed: list[GraphError] = []
+    graphs = _until_error(source.graphs(), malformed)
     with ProcessPoolExecutor(config.parallelism) if config.parallelism > 1 else contextlib.nullcontext() as pool:
-        records = map(worker, source.graphs()) if pool is None else pool.map(worker, source.graphs(), chunksize=16)
+        records = map(worker, graphs) if pool is None else pool.map(worker, graphs, chunksize=16)
         for record in records:
             n = record["n"]
             graphs_per_n[n] = graphs_per_n.get(n, 0) + 1
@@ -363,6 +382,9 @@ def run_sweep(
             violations = (CATEGORY_BOUND_VIOLATION, CATEGORY_CONJECTURE_VIOLATION)
             if config.stop_on_first and any(f.category in violations for f in record["findings"]):
                 break
+        else:
+            if malformed:
+                raise malformed[0]
 
     if config.emit_min_slack:
         findings.extend(min_slack[key] for key in sorted(min_slack))

@@ -5,6 +5,7 @@ criterion fails its test. All equality decisions are exact integer or
 rational comparisons; nothing here goes through floating point.
 """
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -55,6 +56,14 @@ from cliquebounds.search import (
 )
 
 T_MAX = 7
+
+# sha256 of the outputs of `search --exhaustive 8 --t 2:8 --parallelism 2`,
+# recorded at commit d1c7201; the bounds and slacks became integer rows after it.
+EXHAUSTIVE_8_SHA256 = {
+    "findings.jsonl": "f5328076fab3721fe6c932891737921c7fe1efaa3c2d0e25808fee7fa66fb814",
+    "summary.json": "b4a57d49dcb0b0c9eb06a173dc42fd98a5853eb165c76370fd3e6d885bff3137",
+    "rows.csv": "420d673c7294ccb417482b0c19eacbb5a88864024e2cf979dea52399aeb69c3d",
+}
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +274,8 @@ def test_exhaustive_sweep_at_eight_vertices(capsys, tmp_path):
     It finds no violation. Its 12,324 discrepancies are all local_vertex at
     t = 2, the documented handshake case, and beside them it keeps the 700
     equality instances that the default cap of 100 per (n, t) lets through
-    for t = 2..8. Nothing else is found, at t >= 3 in particular.
+    for t = 2..8. Nothing else is found, at t >= 3 in particular. The
+    findings, summary and CSV are byte-identical to the recorded ones.
     """
     findings_path, summary_path, csv_path = (tmp_path / name for name in ("findings.jsonl", "summary.json", "rows.csv"))
     code = main(["search", "--exhaustive", "8", "--t", "2:8", "--parallelism", "2",
@@ -283,6 +293,9 @@ def test_exhaustive_sweep_at_eight_vertices(capsys, tmp_path):
     assert len(discrepancies) == 12324 and {(f.kind, f.t) for f in discrepancies} == {(KIND_LOCAL_VERTEX, 2)}
     assert len(equalities) == 700 and sorted({f.t for f in equalities}) == list(range(2, 9))
     assert len(findings) == len(discrepancies) + len(equalities)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (findings_path, summary_path, csv_path)}
+    assert digests == EXHAUSTIVE_8_SHA256
     with capsys.disabled():
         print("\n[n = 8] PASS: 12,346 graphs, no violation, 12,324 local_vertex discrepancies at t = 2, "
               "700 equality instances, nothing else")

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquebounds import (
     all_weights,
@@ -19,10 +21,22 @@ from cliquebounds import (
     local_vertex_bound,
     local_vertex_total_bound,
     order_bounds,
+    random_gnp,
     wood_bound,
     wood_total_bound,
 )
-from cliquebounds.bounds import make_report
+from cliquebounds.bounds import (
+    KIND_CC_CYCLE,
+    KIND_CC_PATH,
+    KIND_LOCAL_EDGE_CYCLE,
+    KIND_LOCAL_EDGE_PATH,
+    KIND_LOCAL_VERTEX,
+    KIND_WOOD,
+    PER_ORDER_KINDS,
+    classical_cycle_r,
+    classical_path_r,
+    make_report,
+)
 
 
 def K(n):
@@ -217,3 +231,60 @@ def test_report_json_uses_integer_rationals():
     d = report.to_json_dict()
     assert d["bound"] == {"num": 5, "den": 3, "decimal": pytest.approx(5 / 3)}
     assert d["slack"]["num"] == 2 and d["slack"]["den"] == 3
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 12), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+def test_order_bounds_and_slacks_match_the_per_t_functions(n, density, seed):
+    """Beyond the exhaustive corpus: on G(n, p) with n <= 12, at every order
+    t = 1..n + 2 (past max degree + 1 every binomial vanishes), each table
+    entry equals its per-t function, a report's integer slack terms are
+    bound - count for counts below, at and above the bound, and the dominance
+    flags agree with the ``Fraction`` comparisons."""
+    g = random_gnp(n, density, seed)
+    w = all_weights(g)
+    tables = order_bounds(g, w, range(1, n + 3))
+    assert list(tables) == list(range(1, n + 3))
+    for t, table in tables.items():
+        expected = {KIND_LOCAL_VERTEX: local_vertex_bound(g, t), KIND_WOOD: wood_bound(g.n, g.max_degree(), t)}
+        if t >= 2:
+            expected[KIND_LOCAL_EDGE_PATH] = local_edge_path_bound(g, w, t)
+            expected[KIND_LOCAL_EDGE_CYCLE] = local_edge_cycle_bound(g, w, t)
+            expected[KIND_CC_PATH] = cc_path_bound(g.m, classical_path_r(w, g.m), t)
+            expected[KIND_CC_CYCLE] = cc_cycle_bound(g.m, classical_cycle_r(w), t)
+        assert list(table) == [kind for kind in PER_ORDER_KINDS if kind in expected]
+        assert table == expected, (n, density, seed, t)
+        for kind, bound in table.items():
+            assert type(bound) is Fraction
+            floor = bound.numerator // bound.denominator
+            for count in sorted({0, max(floor - 1, 0), floor, floor + 1, floor + 2}):
+                report = make_report(kind, t, count, bound)
+                num, den = report.slack_terms()
+                assert (num, den) == ((bound - count).numerator, (bound - count).denominator) and den > 0
+                assert report.slack == Fraction(num, den) == bound - count
+                assert report.equality == (bound == count)
+        if t >= 2:
+            rec = compare_local_vs_classical(g, w, t, table)
+            assert rec.vertex_ok == (table[KIND_LOCAL_VERTEX] <= table[KIND_WOOD])
+            assert rec.vertex_slack == table[KIND_WOOD] - table[KIND_LOCAL_VERTEX]
+            if g.m:
+                assert rec.edge_ok == (table[KIND_LOCAL_EDGE_PATH] <= table[KIND_CC_PATH])
+                assert rec.edge_slack == table[KIND_CC_PATH] - table[KIND_LOCAL_EDGE_PATH]
+            assert list(rec.to_json_dict()) == [
+                "t", "max_degree", "local_vertex", "wood", "vertex_ok", "vertex_slack",
+                "path_r", "local_edge", "cc_path", "edge_ok", "edge_slack",
+            ]
+
+
+def test_dominance_flags_cross_multiply_both_ways():
+    """A record whose localized bound exceeds its classical one is flagged,
+    and its slack reads negative; equal bounds are not flagged."""
+    g = K(4)
+    w = all_weights(g)
+    table = order_bounds(g, w, [3])[3]
+    assert table[KIND_LOCAL_VERTEX] == table[KIND_WOOD] and dominance(g, 3).vertex_ok
+    table[KIND_LOCAL_VERTEX] += Fraction(1, 7)
+    table[KIND_LOCAL_EDGE_PATH] = table[KIND_CC_PATH] + Fraction(1, 9)
+    rec = compare_local_vs_classical(g, w, 3, table)
+    assert not rec.vertex_ok and not rec.edge_ok and not rec.ok
+    assert rec.vertex_slack == Fraction(-1, 7) and rec.edge_slack == Fraction(-1, 9)

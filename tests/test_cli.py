@@ -151,13 +151,16 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "line 3" in err
 
-    def test_malformed_line_keeps_the_rows_before_it(self, capsys, tmp_path):
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_malformed_line_keeps_the_rows_before_it(self, capsys, tmp_path, parallelism):
         """The CSV is streamed: a stop at line 3 leaves the header and the rows
-        of lines 1-2, and writes no findings and no summary."""
+        of lines 1-2, and writes no findings and no summary, also when a pool
+        has read the whole file before the first record is merged."""
         path = tmp_path / "bad.g6"
         path.write_text("C~\nBw\nE??*\nCs\n")
         outputs = {name: tmp_path / name for name in ("findings.jsonl", "summary.json", "rows.csv")}
-        code, _, err = run(capsys, "verify", str(path), "--t", "2:3", "--findings", str(outputs["findings.jsonl"]),
+        code, _, err = run(capsys, "verify", str(path), "--t", "2:3", "--parallelism", parallelism,
+                           "--findings", str(outputs["findings.jsonl"]),
                            "--summary", str(outputs["summary.json"]), "--csv", str(outputs["rows.csv"]))
         assert code == EXIT_USAGE and "line 3" in err
         assert not outputs["findings.jsonl"].exists() and not outputs["summary.json"].exists()

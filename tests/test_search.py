@@ -54,6 +54,7 @@ from cliquebounds.bounds import (
     make_report,
     wood_bound,
 )
+from cliquebounds.bounds import BoundReport, DominanceRecord
 from cliquebounds.certificates import VERDICT_KINDS, classical_certificate, conjecture_verdict, vertex_core_certificate
 from cliquebounds.cli import _parse_kinds
 from cliquebounds.graph import GraphError
@@ -290,6 +291,33 @@ def test_stop_on_first_stops_after_the_first_violating_graph(monkeypatch, broken
         assert [f.graph6 for f in result.findings if f.category == category] == ["C~", "Bw", "C~"][: graphs - 1]
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_malformed_line_is_raised_after_the_records_before_it(monkeypatch, parallelism):
+    """Every record before a malformed line is merged, rows included, and then
+    its GraphError is raised, also where a pool reads the whole source first;
+    a stop at a violation before that line raises nothing."""
+    import cliquebounds.search as search
+
+    real = search.order_bounds
+
+    def lowered(g, w, ts):  # K4 (C~) violates the lowered cycle bound
+        tables = real(g, w, ts)
+        if g.m >= 3:
+            for table in tables.values():
+                table[KIND_LOCAL_EDGE_CYCLE] -= 1
+        return tables
+
+    monkeypatch.setattr(search, "order_bounds", lowered)
+    source = GraphSource(kind="graph6_lines", lines=("Bg", "C~", "E??*", "Bw"))
+    rows = []
+    with pytest.raises(GraphError, match="line 3"):
+        run_sweep(source, SearchConfig(t_min=3, t_max=3, parallelism=parallelism), rows.append)
+    assert [f.graph6 for f in rows] == ["Bg"] * 4 + ["C~"] * 4
+    result = run_sweep(source, SearchConfig(t_min=3, t_max=3, parallelism=parallelism, stop_on_first=True))
+    assert result.summary["graphs"] == 2
+    assert [f.graph6 for f in result.findings if f.category == CATEGORY_CONJECTURE_VIOLATION] == ["C~"]
+
+
 def test_rows_csv_columns():
     kinds = _parse_kinds("all")
     buf = io.StringIO()
@@ -458,6 +486,22 @@ def test_a_sweep_renders_no_certificate(monkeypatch):
     result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4)),
                        SearchConfig(t_min=1, t_max=4, kinds=PER_ORDER_KINDS))
     assert any(f.category == CATEGORY_CHAR_DISCREPANCY and f.kind == KIND_LOCAL_VERTEX for f in result.findings)
+
+
+def test_a_sweep_builds_no_slack(monkeypatch):
+    """A finding reads a report's slack as integer terms: a sweep of every
+    per-order kind, with vertex discrepancies among its findings, builds no
+    slack ``Fraction``, of a report or of a dominance record."""
+    def build(self):
+        raise AssertionError("a sweep built a slack")
+
+    monkeypatch.setattr(BoundReport, "slack", property(build))
+    monkeypatch.setattr(DominanceRecord, "vertex_slack", property(build))
+    monkeypatch.setattr(DominanceRecord, "edge_slack", property(build))
+    result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5)),
+                       SearchConfig(t_min=1, t_max=5, kinds=PER_ORDER_KINDS, emit_min_slack=True))
+    assert any(f.category == CATEGORY_CHAR_DISCREPANCY and f.kind == KIND_LOCAL_VERTEX for f in result.findings)
+    assert any(f.category == CATEGORY_MIN_SLACK for f in result.findings)
 
 
 def test_each_verdict_is_decided_once_per_graph_and_order(monkeypatch):
