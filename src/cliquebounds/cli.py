@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 from fractions import Fraction
@@ -48,6 +47,7 @@ from .search import (
     OrderEvaluation,
     SearchConfig,
     csv_rows,
+    dump_json,
     evaluate_graph,
     findings_to_jsonl,
     order_range,
@@ -276,7 +276,7 @@ def cmd_analyze(args) -> int:
     t_min, t_max = parse_t_range(args.t)
     report = build_analyze_report(g, list(order_range(g, t_min, t_max)), args.weight_cap)
     if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(dump_json(report))
     else:
         print(render_human_report(report), end="")
     return EXIT_OK
@@ -302,13 +302,7 @@ def _sweep(args, source: GraphSource, **options) -> int:
     if args.format == "jsonl":
         sys.stdout.write(findings_to_jsonl(result.findings))
     elif args.format == "json":
-        print(
-            json.dumps(
-                {"findings": [f.to_json_dict() for f in result.findings], "summary": result.summary},
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        print(dump_json({"findings": [f.to_json_dict() for f in result.findings], "summary": result.summary}))
     else:
         _print_sweep_human(result)
     return _sweep_exit_code(fail_on, result)

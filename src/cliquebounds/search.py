@@ -37,6 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .bounds import (
@@ -327,9 +328,10 @@ def run_sweep(
     Each evaluation finding goes to ``rows``, when given, as its record is
     merged. A malformed line ends the source: every record before it is
     merged, and then its ``GraphError`` is raised, at any parallelism, unless
-    ``stop_on_first`` stopped the sweep first. Output
-    (findings, summary, rows) is deterministic: results are merged in stream
-    order regardless of the parallelism width.
+    ``stop_on_first`` stopped the sweep first. That stop cancels every chunk
+    the pool has not started. Output (findings, summary, rows) is
+    deterministic: results are merged in stream order regardless of the
+    parallelism width.
     """
     findings: list[Finding] = []
     equality_seen: dict[tuple[int, int], int] = {}
@@ -381,6 +383,8 @@ def run_sweep(
                     findings.append(f)
             violations = (CATEGORY_BOUND_VIOLATION, CATEGORY_CONJECTURE_VIOLATION)
             if config.stop_on_first and any(f.category in violations for f in record["findings"]):
+                if pool is not None:  # the pool's exit would wait for every chunk the map submitted
+                    pool.shutdown(cancel_futures=True)
                 break
         else:
             if malformed:
@@ -424,7 +428,57 @@ def findings_to_jsonl(findings: list[Finding]) -> str:
 
 
 def summary_to_json(summary: dict) -> str:
-    return json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    return dump_json(summary) + "\n"
+
+
+def dump_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, without
+    the pure-Python encoder that ``json`` falls back to whenever it indents.
+
+    It writes dicts with ``str`` keys, lists and tuples, ``str``, ``int``,
+    ``float``, ``bool`` and ``None``, each tested by its exact type; any other
+    key or value raises ``TypeError``."""
+    return _dump_json(obj, "\n")
+
+
+_INFINITY = float("inf")
+
+
+def _dump_json(o, newline: str) -> str:
+    kind = type(o)
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is int:
+        return int.__repr__(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if kind is float:
+        if o != o:
+            return "NaN"
+        if o == _INFINITY:
+            return "Infinity"
+        if o == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(o)
+    inner = newline + "  "
+    if kind is dict:
+        if not o:
+            return "{}"
+        items = []
+        for key in sorted(o):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_dump_json(o[key], inner)}")
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dump_json(v, inner) for v in o]) + newline + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 CSV_COLUMNS = ["graph6", "n", "m", "t", "kind", "count", "bound_num", "bound_den", "equality", "certificate"]

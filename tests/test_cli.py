@@ -473,3 +473,16 @@ def test_malformed_parallelism_env_var_exits_2(capsys, monkeypatch, tmp_path, va
     assert run(capsys, "search", "--exhaustive", "3", "--parallelism", "1")[0] == EXIT_OK
     assert run(capsys, "analyze", "C~")[0] == EXIT_OK
     assert run(capsys, "enumerate", "3")[0] == EXIT_OK
+
+
+def test_each_call_runs_the_command_function_the_module_holds_then(capsys, monkeypatch):
+    """main builds its parser on every call, so a cmd_* replaced on the module
+    after an earlier call, as a tracer does, is the one the next call runs."""
+    import cliquebounds.cli as cli
+
+    assert run(capsys, "analyze", "C~", "--t", "3")[0] == EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(args.graph) or EXIT_FINDINGS)
+    assert run(capsys, "analyze", "C~")[0] == EXIT_FINDINGS
+    assert run(capsys, "enumerate", "3")[0] == EXIT_OK
+    assert seen == ["C~"]

@@ -38,6 +38,9 @@ ANALYZE_SHA256 = "6aada39d65dd09a75d57d0a25941f66e08fe366d1b4df4b13fa022ed02c9f5
 # the edge-path verdict a second time.
 ANALYZE_HUMAN_SHA256 = "bc9409e13891424bb1f4878b1188953115f9577188cf97bb8260d069ccd843ab"
 SEARCH_JSON_STDOUT_SHA256 = "350669aa3525d882109223fa7c940f4055bb90f9b1042dc3aac1e81cf147ed83"
+# analyze --format json over SPARSE_REPORT_GRAPHS, recorded while analyze
+# still indented its JSON through json.dumps.
+ANALYZE_SPARSE_SHA256 = "26f83138d02c546bfc7ad852f20dc979f23e54a3b222457839bb39ad7833ee34"
 # verify, default kinds and orders, over DENSE_GRAPHS: dense graphs on 10..12
 # vertices, where most reduced graphs repeat across orders and the cycle
 # certificate's stripped graph is usually g itself.
@@ -67,6 +70,10 @@ DENSE_GRAPHS = [random_gnp(n, p, seed) for n in (10, 11, 12) for p in (0.5, 0.7)
 # Hamiltonian cycle, and G(20, 0.2, 1) and G(24, 0.2, 1), with degree-2
 # vertices, where many cycle searches must prove that no longer cycle exists.
 SPARSE_TAIL = [(n, p, 1) for n in (16, 18, 20, 22, 24) for p in (0.2, 0.25, 0.3)]
+
+# Sparse G(n, 0.3), n = 14..15, as analyze-sparse reads them: long p(e) and
+# c(e) maps, several blocks and articulation points, and up to seven orders.
+SPARSE_REPORT_GRAPHS = [random_gnp(n, 0.3, seed) for n in (14, 15) for seed in range(6)]
 
 
 def sha256(data: bytes) -> str:
@@ -137,6 +144,15 @@ def test_analyze_json_is_byte_identical(capsys):
 
 def test_analyze_human_is_byte_identical(capsys):
     assert analyze_small_hash("human", capsys) == ANALYZE_HUMAN_SHA256
+
+
+def test_analyze_json_of_large_reports_is_byte_identical(capsys):
+    out = []
+    for g in SPARSE_REPORT_GRAPHS:
+        assert main(["analyze", write_graph6(g), "--format", "json"]) == EXIT_OK
+        out.append(capsys.readouterr().out)
+    assert sum(g.m for g in SPARSE_REPORT_GRAPHS) == 317
+    assert sha256("".join(out).encode("ascii")) == ANALYZE_SPARSE_SHA256
 
 
 def test_search_json_stdout_is_byte_identical(capsys):

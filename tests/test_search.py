@@ -3,9 +3,16 @@
 import csv
 import functools
 import io
+import json
+import math
 import pickle
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cliquebounds.certificates as certificates
 from cliquebounds import (
@@ -66,6 +73,7 @@ from cliquebounds.search import (
     CATEGORY_MIN_SLACK,
     CSV_COLUMNS,
     csv_rows,
+    dump_json,
     evaluate_graph,
     findings_to_jsonl,
     summary_to_json,
@@ -260,6 +268,23 @@ def test_stop_on_first_flag_does_not_change_clean_runs(small_sweep):
     assert findings_to_jsonl(result.findings) == findings_to_jsonl(small_sweep.findings)
 
 
+def lower_the_cycle_bound(monkeypatch) -> None:
+    """Lower the cycle bound by one on every graph with 3 or more edges, so that
+    C~ (K4) and Bw (K3) violate it; no real graph violates a bound."""
+    import cliquebounds.search as search
+
+    real = search.order_bounds
+
+    def lowered(g, w, ts):
+        tables = real(g, w, ts)
+        if g.m >= 3:
+            for table in tables.values():
+                table[KIND_LOCAL_EDGE_CYCLE] -= 1
+        return tables
+
+    monkeypatch.setattr(search, "order_bounds", lowered)
+
+
 @pytest.mark.parametrize("broken", ["dominance", "cycle bound"])
 def test_stop_on_first_stops_after_the_first_violating_graph(monkeypatch, broken):
     # No real graph violates a bound, so break one on the graphs with 3 or more edges.
@@ -273,16 +298,7 @@ def test_stop_on_first_stops_after_the_first_violating_graph(monkeypatch, broken
                             lambda g, w, t, bounds: replace(real(g, w, t, bounds), vertex_ok=g.m < 3))
         category = CATEGORY_BOUND_VIOLATION
     else:
-        real = search.order_bounds
-
-        def lowered(g, w, ts):
-            tables = real(g, w, ts)
-            if g.m >= 3:
-                for table in tables.values():
-                    table[KIND_LOCAL_EDGE_CYCLE] -= 1
-            return tables
-
-        monkeypatch.setattr(search, "order_bounds", lowered)
+        lower_the_cycle_bound(monkeypatch)
         category = CATEGORY_CONJECTURE_VIOLATION
     source = GraphSource(kind="graph6_lines", lines=("Bg", "C~", "Bw", "C~"))
     for stop, graphs in ((False, 4), (True, 2)):
@@ -296,18 +312,7 @@ def test_a_malformed_line_is_raised_after_the_records_before_it(monkeypatch, par
     """Every record before a malformed line is merged, rows included, and then
     its GraphError is raised, also where a pool reads the whole source first;
     a stop at a violation before that line raises nothing."""
-    import cliquebounds.search as search
-
-    real = search.order_bounds
-
-    def lowered(g, w, ts):  # K4 (C~) violates the lowered cycle bound
-        tables = real(g, w, ts)
-        if g.m >= 3:
-            for table in tables.values():
-                table[KIND_LOCAL_EDGE_CYCLE] -= 1
-        return tables
-
-    monkeypatch.setattr(search, "order_bounds", lowered)
+    lower_the_cycle_bound(monkeypatch)
     source = GraphSource(kind="graph6_lines", lines=("Bg", "C~", "E??*", "Bw"))
     rows = []
     with pytest.raises(GraphError, match="line 3"):
@@ -316,6 +321,61 @@ def test_a_malformed_line_is_raised_after_the_records_before_it(monkeypatch, par
     result = run_sweep(source, SearchConfig(t_min=3, t_max=3, parallelism=parallelism, stop_on_first=True))
     assert result.summary["graphs"] == 2
     assert [f.graph6 for f in result.findings if f.category == CATEGORY_CONJECTURE_VIOLATION] == ["C~"]
+
+
+class ChunkedThreadPool(ThreadPoolExecutor):
+    """A thread pool whose ``map`` hands out chunks of ``chunksize`` items, as
+    a process pool does. Every chunk after the first waits until the pool is
+    shut down, after its pending futures were cancelled: no chunk runs ahead
+    of the merge, whatever the timing."""
+
+    def __init__(self, max_workers: int) -> None:
+        super().__init__(max_workers)
+        self.released = threading.Event()
+        self.futures = []
+
+    def map(self, fn, iterable, chunksize=1):
+        items = list(iterable)
+
+        def run(k, chunk):
+            if k:
+                assert self.released.wait(timeout=60), "the pool was never shut down"
+            return [fn(item) for item in chunk]
+
+        self.futures = [self.submit(run, i // chunksize, items[i:i + chunksize])
+                        for i in range(0, len(items), chunksize)]
+        return (record for future in self.futures for record in future.result())
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        super().shutdown(wait=False, cancel_futures=cancel_futures)
+        self.released.set()
+        super().shutdown(wait=wait)
+
+
+def test_a_stop_at_a_violation_cancels_the_chunks_not_started(monkeypatch):
+    """A pool that stops at the first violating graph evaluates the chunk it
+    merged and at most one more chunk per worker, not the whole stream."""
+    import cliquebounds.search as search
+
+    lower_the_cycle_bound(monkeypatch)
+    real_worker = search.sweep_worker
+    evaluated = []
+    pools = []
+
+    def counted_worker(item, config):
+        evaluated.append(item[0])
+        return real_worker(item, config)
+
+    monkeypatch.setattr(search, "sweep_worker", counted_worker)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda width: pools.append(ChunkedThreadPool(width)) or pools[-1])
+    source = GraphSource(kind="graph6_lines", lines=["C~"] + ["Bw"] * 400)
+    result = run_sweep(source, SearchConfig(t_min=3, t_max=3, parallelism=2, stop_on_first=True))
+    assert result.summary["graphs"] == 1
+    assert [f.graph6 for f in result.findings if f.category == CATEGORY_CONJECTURE_VIOLATION] == ["C~"]
+    (pool,) = pools
+    assert len(pool.futures) == 26  # 401 graphs in chunks of 16
+    assert sum(f.cancelled() for f in pool.futures) >= 26 - 1 - 2
+    assert 16 <= len(evaluated) <= (1 + 2) * 16
 
 
 def test_rows_csv_columns():
@@ -551,3 +611,41 @@ def test_edge_and_cycle_discrepancies_come_from_one_rule(monkeypatch):
             (3, KIND_LOCAL_EDGE_CYCLE, "equality True vs block-forest certificate False"),
         ]
         assert all(replay_finding(f) for f in result.findings)
+
+
+JSON_TEXT = st.text(st.sampled_from('a"\\/\x00\x08\x1f\x7f\n\t\u00e9\u20ac\U0001f600') | st.characters())
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**100), 2**100)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | JSON_TEXT
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(JSON_VALUES)
+def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [
+    {}, [], (), "", 0, -(2**70), 0.1, -0.0, math.nan, math.inf, -math.inf, True, False, None,
+    {"b": {}, "a": [], "c": (), "\u00e9\"\\\n": [[{}], {"x": [True, 1, None]}], "B": 1e300},
+])
+def test_dump_json_matches_json_dumps_on_edge_cases(obj):
+    assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{1: "a"}, {"a": {1: 2}}, {1, 2}, {"a": [{1, 2}]}, {"a": Fraction(1, 2)}])
+def test_dump_json_rejects_a_non_str_key_and_an_unknown_type(obj):
+    with pytest.raises(TypeError):
+        dump_json(obj)
