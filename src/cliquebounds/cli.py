@@ -35,6 +35,7 @@ from .graph import Graph, GraphError, parse_edge_list_text, parse_graph6, write_
 from .oracles import (
     DP_WEIGHT_CAP,
     NAIVE_CLIQUE_CAP,
+    dp_all_weights,
     dp_longest_cycle_through_edge,
     dp_longest_path_through_edge,
     naive_count_all_cliques,
@@ -54,7 +55,13 @@ from .search import (
     run_sweep,
     summary_to_json,
 )
-from .weights import DEFAULT_EXACT_CAP, CapExceededError
+from .weights import (
+    DEFAULT_EXACT_CAP,
+    CapExceededError,
+    all_weights,
+    longest_cycle_through_edge,
+    longest_path_through_edge,
+)
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -378,8 +385,6 @@ def cmd_oracle(args) -> int:
     else:
         if g.n > DP_WEIGHT_CAP:
             raise CapExceededError(f"path-weight oracle supports n <= {DP_WEIGHT_CAP}, got n={g.n}")
-        from .weights import longest_cycle_through_edge, longest_path_through_edge
-
         print(f"{'edge':>7} {'p fast':>7} {'p dp':>7} {'c fast':>7} {'c dp':>7}")
         for e in g.edges():
             pf = longest_path_through_edge(g, e)
@@ -390,6 +395,12 @@ def cmd_oracle(args) -> int:
             if not ok:
                 mismatches += 1
             print(f"{_edge_key(e):>7} {pf:>7} {po:>7} {cf:>7} {co:>7}{'' if ok else ' MISMATCH'}")
+        # The kernel every sweep and analyze call runs, with all its shortcuts.
+        kernel, dp = all_weights(g), dp_all_weights(g)
+        wrong = [e for e in g.edges() if (kernel.p[e], kernel.c[e]) != (dp.p[e], dp.c[e])]
+        mismatches += len(wrong)
+        print(f"all_weights: {g.m - len(wrong)} of {g.m} edges agree"
+              + "".join(f" MISMATCH {_edge_key(e)}" for e in wrong))
     if mismatches:
         print(f"{mismatches} mismatch(es): fast path disagrees with the oracle", file=sys.stderr)
         return EXIT_INTERNAL

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cliquebounds.cli import EXIT_FINDINGS, EXIT_OK, EXIT_USAGE, main
+from cliquebounds.cli import EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 
 
 def run(capsys, *argv):
@@ -428,7 +428,24 @@ class TestOracle:
     def test_pweights_agree(self, capsys):
         code, out, _ = run(capsys, "oracle", "D~{", "--mode", "pweights")
         assert code == EXIT_OK
-        assert "fast and oracle agree" in out
+        assert "all_weights: 10 of 10 edges agree\nfast and oracle agree" in out
+
+    def test_pweights_checks_the_all_weights_kernel(self, capsys, monkeypatch):
+        import dataclasses
+
+        import cliquebounds.cli as cli
+
+        kernel = cli.all_weights
+
+        def planted(g):
+            w = kernel(g)
+            return dataclasses.replace(w, c={**w.c, (0, 1): w.c[0, 1] - 1})
+
+        monkeypatch.setattr(cli, "all_weights", planted)
+        code, out, err = run(capsys, "oracle", "D~{", "--mode", "pweights")
+        assert code == EXIT_INTERNAL
+        assert "all_weights: 9 of 10 edges agree MISMATCH 0-1\n" in out
+        assert err == "1 mismatch(es): fast path disagrees with the oracle\n"
 
     def test_cap_error(self, capsys):
         from cliquebounds import from_edge_list, write_graph6

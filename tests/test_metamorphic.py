@@ -165,10 +165,13 @@ def test_disjoint_union_of_random_graphs():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     part = st.builds(random_gnp, st.integers(1, 8), st.floats(0.1, 0.8), st.integers(0, 2**32 - 1))
+    # dense enough that its blocks are mostly settled by the closure rule, without a search
+    dense = st.builds(random_gnp, st.integers(3, 8), st.floats(0.7, 1.0), st.integers(0, 2**32 - 1))
 
     @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
-    @hypothesis.given(part, part)
-    def check(g, h):
+    @hypothesis.given(part, part, dense)
+    def check(g, h, d):
         assert_union_is_the_sum_of_its_parts(g, h, range(1, max(g.max_degree(), h.max_degree()) + 2))
+        assert_union_is_the_sum_of_its_parts(d, h, range(1, max(d.max_degree(), h.max_degree()) + 2))
 
     check()

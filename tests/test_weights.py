@@ -1,6 +1,7 @@
 """Path/cycle weights against the subset-DP oracle, plus block structure."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -16,7 +17,7 @@ from cliquebounds import (
     longest_path_through_edge,
 )
 from cliquebounds.enumeration import random_gnp
-from cliquebounds.graph import GraphError, connected_components
+from cliquebounds.graph import GraphError, connected_components, induced_subgraph, parse_graph6
 from cliquebounds.oracles import dp_all_weights, reference_cycle_rules
 from cliquebounds.weights import _crossover, _expand, _longest_cycle, _longest_path, _rotation, block_vertex_sets
 
@@ -500,6 +501,22 @@ def dense_corpus():
     return [random_gnp(n, density, seed) for n in range(10, 14) for density in (0.5, 0.7) for seed in range(5)]
 
 
+def count_calls(monkeypatch, **functions):
+    """Patch each named kernel function to count its calls under the given key; returns the live counts."""
+    calls = dict.fromkeys(functions, 0)
+
+    def counted(key, function):
+        def wrapper(*args):
+            calls[key] += 1
+            return function(*args)
+
+        return wrapper
+
+    for key, name in functions.items():
+        monkeypatch.setattr(kernel, name, counted(key, getattr(kernel, name)))
+    return calls
+
+
 def test_exchange_rules_keep_the_searches_few(monkeypatch):
     """A guard on the number of kernel searches and rules calls over a fixed dense corpus.
 
@@ -508,20 +525,13 @@ def test_exchange_rules_keep_the_searches_few(monkeypatch):
     witnesses). Without crossovers they take 455 cycle searches; without
     rotations, 28 path searches; without the chord rule, 62. The kernel of
     witnessed incumbents alone took 566 and 34. The cycle rules run 305
-    times, and 666 without the saturation stop.
+    times, and 666 without the saturation stop. The closure rule is off
+    here, so that these counts measure the other rules: with it, 27 of the
+    graphs are settled without a search, and the kernel runs 39 cycle and
+    11 path searches and 110 rules calls.
     """
-    calls = {"cycle": 0, "path": 0, "rules": 0}
-
-    def counted(name, search):
-        def wrapper(*args):
-            calls[name] += 1
-            return search(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(kernel, "_longest_cycle", counted("cycle", kernel._longest_cycle))
-    monkeypatch.setattr(kernel, "_longest_path", counted("path", kernel._longest_path))
-    monkeypatch.setattr(kernel, "_cycle_rules", counted("rules", kernel._cycle_rules))
+    monkeypatch.setattr(kernel, "_closure_is_complete", lambda adj, mask: False)
+    calls = count_calls(monkeypatch, cycle="_longest_cycle", path="_longest_path", rules="_cycle_rules")
     for g in dense_corpus():
         all_weights(g)
     assert calls["cycle"] <= 100, calls
@@ -555,6 +565,8 @@ def assert_the_saturation_stop_is_exact(g, monkeypatch):
 
 
 def test_saturation_stop_is_exact_on_dense_graphs(monkeypatch):
+    # without the closure rule, which would settle most of these graphs before any expansion
+    monkeypatch.setattr(kernel, "_closure_is_complete", lambda adj, mask: False)
     for g in dense_corpus():
         assert_the_saturation_stop_is_exact(g, monkeypatch)
 
@@ -634,3 +646,110 @@ def test_pruning_rules_keep_the_kernel_nodes_few(monkeypatch):
     calls = 0
     all_weights(random_gnp(20, 0.2, 1))
     assert calls <= 20_000, calls
+
+
+# ---------------------------------------------------------------- closure rule
+
+
+def reference_closure_is_complete(g, mask):
+    """The (k+1)-closure of g[mask], k vertices, joined one pair at a time:
+    any non-adjacent pair whose degrees in the graph built so far sum to at
+    least k + 1, until none is left. True iff it ends complete."""
+    sub, _ = induced_subgraph(g, mask)
+    k = sub.n
+    edges = set(sub.edges())
+    while True:
+        degree = [sum(x in e for e in edges) for x in range(k)]
+        pair = next(((x, y) for x, y in combinations(range(k), 2)
+                     if (x, y) not in edges and degree[x] + degree[y] >= k + 1), None)
+        if pair is None:
+            return len(edges) == k * (k - 1) // 2
+        edges.add(pair)
+
+
+def closure_blocks(g):
+    """The vertex masks of g's blocks with at least 3 vertices."""
+    decomp = block_decomposition(g)
+    return [mask for edge_set, mask in zip(decomp.blocks, block_vertex_sets(decomp)) if len(edge_set) > 1]
+
+
+def dense_gnp(ns, densities=(0.55, 0.7, 0.85), seeds=range(3)):
+    return [random_gnp(n, density, seed) for n in ns for density in densities for seed in seeds]
+
+
+# Each catches one way of getting the closure wrong:
+CLOSURE_CASES = [
+    # the diamond K4 - e: a threshold of k instead of k + 1 joins its two
+    # degree-2 vertices, and its diagonal would get c = 4 instead of 3
+    ("C^", False),
+    # a diamond on 1..4 and the pendant edge 0-2: counted in the whole graph,
+    # vertex 2 has degree 3, which would join it to vertex 1
+    ("DR[", False),
+    # joined only after a second pass: (0, 2) and (1, 3) first, which lifts
+    # the degrees of 0 and 1 to 4 each, then (0, 1)
+    ("EL~w", True),
+]
+
+
+class TestClosureRule:
+    """A block whose (|B|+1)-closure is complete is Hamiltonian-connected, so all_weights settles it without a search."""
+
+    @pytest.mark.parametrize("graph6, complete", CLOSURE_CASES)
+    def test_cases(self, graph6, complete):
+        g = parse_graph6(graph6)
+        mask = max(closure_blocks(g), key=int.bit_count)
+        assert kernel._closure_is_complete(g.adj, mask) == reference_closure_is_complete(g, mask) == complete
+        assert all_weights(g) == dp_all_weights(g)
+
+    def test_closure_matches_the_reference_on_every_block(self, corpus):
+        graphs = [g for n in range(3, 8) for g in corpus[n]] + dense_gnp(range(8, 13))
+        complete = 0
+        for g in graphs:
+            for mask in closure_blocks(g):
+                fast = kernel._closure_is_complete(g.adj, mask)
+                assert fast == reference_closure_is_complete(g, mask), (g, mask)
+                complete += fast
+        assert complete > 400
+
+    def test_matches_the_oracle_on_every_graph_up_to_seven_vertices(self, corpus, monkeypatch):
+        settled = 0
+        closure = kernel._closure_is_complete
+
+        def counted(adj, mask):
+            nonlocal settled
+            complete = closure(adj, mask)
+            settled += complete
+            return complete
+
+        monkeypatch.setattr(kernel, "_closure_is_complete", counted)
+        for n in range(1, 8):
+            for g in corpus[n]:
+                assert all_weights(g) == dp_all_weights(g), g
+        assert settled == 402
+
+    def test_matches_the_oracle_on_dense_random_graphs(self):
+        graphs = dense_gnp(range(8, 13))
+        assert sum(kernel._closure_is_complete(g.adj, g.vertex_mask()) for g in graphs) > len(graphs) // 2
+        for g in graphs:
+            assert all_weights(g) == dp_all_weights(g), g
+
+    def test_matches_the_per_edge_searches_on_larger_dense_graphs(self):
+        graphs = dense_gnp(range(13, 17), densities=(0.5, 0.7, 0.9))
+        assert sum(kernel._closure_is_complete(g.adj, g.vertex_mask()) for g in graphs) > len(graphs) // 2
+        for g in graphs:
+            w = all_weights(g)
+            assert (w.p, w.c) == per_edge_weights(g), g
+
+    def test_hamiltonian_connected_graphs_run_no_search(self, corpus, monkeypatch):
+        """Every graph that is one block with a complete closure: the complete
+        graphs, EL~w, whose closure takes two passes, and every such graph on
+        up to 7 vertices and of the dense random graphs."""
+        graphs = [K(n) for n in range(3, 9)] + [parse_graph6("EL~w")]
+        graphs += [g for g in [g for n in range(3, 8) for g in corpus[n]] + dense_gnp(range(8, 17))
+                   if closure_blocks(g) == [g.vertex_mask()] and reference_closure_is_complete(g, g.vertex_mask())]
+        assert len(graphs) > 100
+        calls = count_calls(monkeypatch, cycle="_longest_cycle", path="_longest_path")
+        for g in graphs:
+            w = all_weights(g)
+            assert set(w.c.values()) == {g.n} and set(w.p.values()) == {g.n - 1}, g
+        assert calls == {"cycle": 0, "path": 0}
