@@ -40,7 +40,9 @@ reduced graph's key comes from a t-free table (the degrees, the core numbers
 of one core decomposition, the sorted p(e) and c(e)), built on the first
 request for its kind, and a builder (``vertex_equality_certificate`` and its
 three siblings, each a per-t function) runs only on an unseen key; every
-order with a seen key gets that same certificate. The three classical
+order with a seen key gets that same certificate. The vertex-core builder
+reads its keep set from the same core numbers, so no order peels the core
+again. The three classical
 certificates (``classical_certificate``) check g itself and are built once
 per graph. Every other structure check, a given component or block being a
 clique (on exactly r vertices), is one loop, ``_first_non_clique``.
@@ -65,7 +67,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Sequence
 
 from .bounds import (
@@ -239,9 +241,15 @@ def vertex_equality_certificate(g: Graph, t: int) -> EqualityCertificate:
     return _clique_components_certificate(g, x_set(g, t), "vertex")
 
 
-def vertex_core_certificate(g: Graph, t: int) -> EqualityCertificate:
-    """Same check on the (t-1)-core, where the reduction is stable."""
-    return _clique_components_certificate(g, x_core(g, t), "vertex-core")
+def vertex_core_certificate(g: Graph, t: int, core: Sequence[int] | None = None) -> EqualityCertificate:
+    """Same check on the (t-1)-core, where the reduction is stable.
+
+    The core is read from g's core numbers, {v : core(v) >= t - 1}: from
+    ``core`` when given, else from a fresh decomposition.
+    """
+    core = core_numbers(g) if core is None else core
+    keep = sum(1 << v for v, k in enumerate(core) if k >= t - 1)
+    return _clique_components_certificate(g, keep, "vertex-core")
 
 
 def edge_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
@@ -293,11 +301,12 @@ class OrderCertificates:
     """
 
     def __init__(self, g: Graph, weights: WeightMap) -> None:
+        core = cache(lambda: core_numbers(g))  # one decomposition: the table and every keep set
         # kind: (t-free values, threshold offset, lowest order, builder of order t)
         self._rows: dict[str, tuple[Callable[[], Iterable[int]], int, int, Callable[[int], EqualityCertificate]]]
         self._rows = {
             KIND_LOCAL_VERTEX: (g.degrees, -1, 1, lambda t: vertex_equality_certificate(g, t)),
-            "vertex-core": (lambda: core_numbers(g), -1, 1, lambda t: vertex_core_certificate(g, t)),
+            "vertex-core": (core, -1, 1, lambda t: vertex_core_certificate(g, t, core())),
             KIND_LOCAL_EDGE_PATH: (weights.p.values, -1, 2, lambda t: edge_equality_certificate(g, weights, t)),
             KIND_LOCAL_EDGE_CYCLE: (weights.c.values, 0, 2, lambda t: cycle_equality_certificate(g, weights, t)),
         }

@@ -47,6 +47,7 @@ from .search import (
     GraphSource,
     OrderEvaluation,
     SearchConfig,
+    WorkerError,
     csv_rows,
     dump_json,
     evaluate_graph,
@@ -485,6 +486,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except WorkerError as exc:  # a fault of the program on one graph, not of the input
+        print(f"{exc.traceback}error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

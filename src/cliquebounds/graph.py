@@ -283,8 +283,9 @@ def is_clique(g: Graph, vertices: int) -> bool:
 
 def reachable_within(adj: Sequence[int], sources: int, allowed: int) -> int:
     """Vertices of ``allowed`` reachable from ``sources`` using only allowed vertices."""
-    # The inner step of every exact weight search: walk the frontier's bits
-    # inline, since a generator per wave costs more than the wave itself.
+    # The weight searches use a table form (``weights.reachable_within``);
+    # here the frontier's bits are walked inline, since a generator per wave
+    # costs more than the wave itself.
     seen = 0
     frontier = sources
     while frontier:

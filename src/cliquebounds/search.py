@@ -13,7 +13,7 @@ of each characterization among those reports, once each (the local_vertex
 one from the core report), and ``bounds`` for the dominance record of the
 table. Nothing is evaluated that was not requested. ``analyze`` renders that
 result, ``sweep_worker`` builds each finding from it once, and
-``replay_finding`` re-evaluates a witness through ``sweep_worker`` and looks
+``replay_finding`` re-evaluates a witness as ``sweep_worker`` does and looks
 for the finding among the ones it builds. A sweep renders no certificate: a
 finding reads only a certificate's outcome, and a vertex discrepancy its
 core's graph6. Nor does it build a slack: a finding reads its report's slack
@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -99,6 +100,9 @@ class SearchConfig:
             raise ValueError(f"equality cap must be >= 0, got {self.equality_cap}")
         if self.weight_cap < 0:
             raise ValueError(f"weight cap must be >= 0, got {self.weight_cap}")
+        unknown = [kind for kind in self.kinds if kind not in PER_ORDER_KINDS]
+        if unknown:
+            raise ValueError(f"unknown per-order bound kind {unknown[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -245,20 +249,41 @@ def evaluate_graph(
     return GraphEvaluation(weights, census, orders)
 
 
+class WorkerError(Exception):
+    """A sweep worker failed on one graph: a fault of the program, since a
+    ``SearchConfig`` and a parsed graph are valid input. The message is the
+    graph6 and the exception; ``traceback`` is the worker's formatted one."""
+
+    def __init__(self, graph6: str, failure: str, traceback_text: str) -> None:
+        super().__init__(f"{graph6}: {failure}")
+        self.traceback = traceback_text
+
+
 def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
     """Analyze one (graph6, graph) pair of a source; returns a record of its
-    findings in stream order, before any cap: the evaluations t-major in
-    ``config.kinds`` order, each kind once, then the characterization
-    discrepancies, then the dominance violations. An evaluation is a
-    violation, an EQUALITY_INSTANCE or a MIN_SLACK candidate by the sign of
-    its report's slack, read as integers (``BoundReport.slack_terms``)."""
+    findings (``_graph_findings``), of its cap error, or of any other
+    exception as its type and message (``failure``) and its traceback. A
+    record crosses the process pool whole, so a failure loses none of the
+    records before it."""
     line, g = item
-    record: dict = {"graph6": line, "n": g.n, "error": None, "findings": []}
+    record: dict = {"graph6": line, "n": g.n, "error": None, "failure": None, "findings": []}
     try:
-        evaluation = evaluate_graph(g, order_range(g, config.t_min, config.t_max), config.kinds, config.weight_cap)
+        record["findings"] = _graph_findings(line, g, config)
     except CapExceededError as exc:
         record["error"] = str(exc)
-        return record
+    except Exception as exc:  # noqa: BLE001 - the merge reports it with its graph
+        record["failure"] = (f"{type(exc).__name__}: {exc}", traceback.format_exc())
+    return record
+
+
+def _graph_findings(line: str, g: Graph, config: SearchConfig) -> list[Finding]:
+    """The findings of one graph in stream order, before any cap: the
+    evaluations t-major in ``config.kinds`` order, each kind once, then the
+    characterization discrepancies, then the dominance violations. An
+    evaluation is a violation, an EQUALITY_INSTANCE or a MIN_SLACK candidate
+    by the sign of its report's slack, read as integers
+    (``BoundReport.slack_terms``)."""
+    evaluation = evaluate_graph(g, order_range(g, config.t_min, config.t_max), config.kinds, config.weight_cap)
 
     def finding(category, t, kind, count, bound, slack_num, slack_den, certificate, detail) -> Finding:
         return Finding(category, line, g.n, g.m, t, kind, count, bound.numerator, bound.denominator,
@@ -300,8 +325,7 @@ def sweep_worker(item: tuple[str, Graph], config: SearchConfig) -> dict:
             detail = f"localized bound {local} exceeds classical bound {classical}"
             violations.append(finding(CATEGORY_BOUND_VIOLATION, t, kind, 0, classical, slack.numerator,
                                       slack.denominator, None, detail))
-    record["findings"] = evals + discrepancies + violations
-    return record
+    return evals + discrepancies + violations
 
 
 def _until_error(graphs: Iterator[tuple[str, Graph]], errors: list[GraphError]) -> Iterator[tuple[str, Graph]]:
@@ -329,7 +353,9 @@ def run_sweep(
     merged. A malformed line ends the source: every record before it is
     merged, and then its ``GraphError`` is raised, at any parallelism, unless
     ``stop_on_first`` stopped the sweep first. That stop cancels every chunk
-    the pool has not started. Output (findings, summary, rows) is
+    the pool has not started. So does a worker's failure on a graph, which
+    ends the sweep with a ``WorkerError`` naming that graph once every record
+    before it is merged. Output (findings, summary, rows) is
     deterministic: results are merged in stream order regardless of the
     parallelism width.
     """
@@ -345,6 +371,10 @@ def run_sweep(
     with ProcessPoolExecutor(config.parallelism) if config.parallelism > 1 else contextlib.nullcontext() as pool:
         records = map(worker, graphs) if pool is None else pool.map(worker, graphs, chunksize=16)
         for record in records:
+            if record["failure"] is not None:
+                if pool is not None:  # as at a stop: no chunk after this one is worth waiting for
+                    pool.shutdown(cancel_futures=True)
+                raise WorkerError(record["graph6"], *record["failure"])
             n = record["n"]
             graphs_per_n[n] = graphs_per_n.get(n, 0) + 1
             if record["error"] is not None:
@@ -417,10 +447,10 @@ def replay_finding(finding: Finding, weight_cap: int = DEFAULT_EXACT_CAP) -> boo
     kinds = () if finding.kind in DOMINANCE_KINDS else (finding.kind,)
     try:
         config = SearchConfig(t_min=finding.t, t_max=finding.t, kinds=kinds, weight_cap=weight_cap)
-        record = sweep_worker((finding.graph6, parse_graph6(finding.graph6)), config)
-    except ValueError:  # a malformed witness, order or kind
+        findings = _graph_findings(finding.graph6, parse_graph6(finding.graph6), config)
+    except (ValueError, CapExceededError):  # a malformed witness, order or kind; a witness over the cap
         return False
-    return finding in record["findings"]
+    return finding in findings
 
 
 def findings_to_jsonl(findings: list[Finding]) -> str:

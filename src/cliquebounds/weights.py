@@ -27,6 +27,29 @@ G(22, 0.3, 1) took 46 s and 24.8M reachability walks without them, and take
 under 0.01 s and 123 walks with them; G(24, 0.2, 1) went from 15.8 s to 0.4 s
 (processor time, Python 3.11 on a 2-vCPU VM).
 
+Each search node is a few table lookups (``neighbourhood_tables``). The
+first search of a graph splits its vertex ids into a low and a high half of
+w = ceil(n/2) ids and stores, for every subset b of a half, ``one[b]``, the
+vertices with a neighbour in b, and ``two[b]``, those with two. A set S
+then splits into a = S & (2^w - 1) and b = S >> w:
+
+- a reachability wave from a frontier F is one[F's low part] | one[F's
+  high part], within the allowed vertices not yet seen;
+- the vertices with two neighbours in S are two_lo[a] | two_hi[b] |
+  (one_lo[a] & one_hi[b]), two in one half or one in each;
+- so the dead ends are the reachable vertices outside that set for S =
+  reach | tips, and a peel round drops every vertex of the region but the
+  tip and v outside it for S = region, round after round until none drops,
+  the same fixpoint as a one-vertex-at-a-time worklist.
+
+Only the bit walks change, not which nodes are visited: G(22, 0.3, 1) and
+G(20, 0.2, 1) still take exactly 123 and 14,475 reach steps. A half holds
+at most TABLE_BITS = 12 ids (2^12 entries per table); above 24 vertices,
+which only a raised cap admits, each half is split again the same way.
+Over the 110 sparse G(14..15, 0.3) graphs of the ``analyze-sparse``
+benchmark ``all_weights`` fell from 0.42 s to 0.25 s, and G(23, 0.2, 2)
+and G(24, 0.2, 3) at cap n from 15.7 s to 7.3 s and from 6.1 s to 3.3 s.
+
 ``all_weights`` runs the same searches as the per-edge functions, with six
 shortcuts that cannot change a result:
 
@@ -75,11 +98,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, GraphError, connected_components, iter_bits, reachable_within
+from .graph import Graph, GraphError, connected_components, iter_bits
 
 DEFAULT_EXACT_CAP = 20
 # Witnesses derived by the exchange rules from one search's witness, at most.
 WITNESS_CAP = 200
+# Vertex ids per half of the neighbourhood tables, at most: 2^12 entries per table.
+TABLE_BITS = 12
+
+# The low half's mask and width, then its ``one`` table, the high half's,
+# and the two ``two`` tables (see ``neighbourhood_tables``).
+Tables = tuple[int, int, Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
 
 
 class CapExceededError(GraphError):
@@ -117,24 +146,94 @@ def _check_edge(g: Graph, e: tuple[int, int]) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _dead_ends(adj: Sequence[int], reach: int, tips: int) -> int:
+def neighbourhood_tables(rows: Sequence[int]) -> Tables:
+    """Tables of which vertices have one, or two, neighbours in a vertex set.
+
+    ``rows`` are the adjacency rows of a run of vertex ids, lowest first.
+    The run splits into a low half of ``width`` ids and a high half. For
+    every subset b of a half, as bits from the half's first id, ``one[b]``
+    holds the vertices with at least one neighbour in b, and ``two[b]`` those
+    with at least two. A half of more than TABLE_BITS ids, in graphs above
+    2 * TABLE_BITS vertices, is split again in the same way.
+    """
+    width = (len(rows) + 1) // 2
+    one_lo, two_lo = _one_two(rows[:width])
+    one_hi, two_hi = _one_two(rows[width:])
+    return (1 << width) - 1, width, one_lo, one_hi, two_lo, two_hi
+
+
+def _one_two(rows: Sequence[int]) -> tuple[Sequence[int], Sequence[int]]:
+    """The ``one`` and ``two`` tables of one half: each entry extends the
+    entry of b without its lowest vertex by that vertex's row."""
+    if len(rows) > TABLE_BITS:
+        tables = neighbourhood_tables(rows)
+        return _Wide(tables, False), _Wide(tables, True)
+    size = 1 << len(rows)
+    one = [0] * size
+    two = [0] * size
+    for b in range(1, size):
+        low = b & -b
+        rest = b ^ low
+        row = rows[low.bit_length() - 1]
+        one[b] = one[rest] | row
+        two[b] = two[rest] | (one[rest] & row)
+    return one, two
+
+
+class _Wide:
+    """The ``one`` table, or with ``twice`` the ``two`` table, of a run of
+    more than TABLE_BITS ids, looked up in the tables of its two halves."""
+
+    __slots__ = ("tables", "twice")
+
+    def __init__(self, tables: Tables, twice: bool) -> None:
+        self.tables = tables
+        self.twice = twice
+
+    def __getitem__(self, b: int) -> int:
+        if self.twice:
+            return _covered_twice(self.tables, b)
+        mask, width, one_lo, one_hi, _, _ = self.tables
+        return one_lo[b & mask] | one_hi[b >> width]
+
+
+def reachable_within(tables: Tables, sources: int, allowed: int) -> int:
+    """Vertices of ``allowed`` reachable from ``sources`` using only allowed vertices.
+
+    The table form of ``graph.reachable_within``, which the certificates
+    keep: each wave is one lookup per half of the frontier. It is the one
+    step of every node of the weight searches.
+    """
+    mask, width, one_lo, one_hi, _, _ = tables
+    seen = 0
+    frontier = sources
+    while frontier:
+        frontier = (one_lo[frontier & mask] | one_hi[frontier >> width]) & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
+def _covered_twice(tables: Tables, s: int) -> int:
+    """The vertices with at least two neighbours in ``s``: two in one half
+    of ``s``, or one in each half."""
+    mask, width, one_lo, one_hi, two_lo, two_hi = tables
+    a = s & mask
+    b = s >> width
+    return two_lo[a] | two_hi[b] | (one_lo[a] & one_hi[b])
+
+
+def _dead_ends(tables: Tables, reach: int, tips: int) -> int:
     """Vertices of ``reach`` with fewer than two neighbours in ``reach | tips``.
 
     Such a vertex cannot be an inner vertex of a path arm grown from the
     tips through ``reach``; it can only end an arm.
     """
-    pool = reach | tips
-    dead = 0
-    while reach:
-        low = reach & -reach
-        reach ^= low
-        nb = adj[low.bit_length() - 1] & pool
-        if not nb & (nb - 1):
-            dead += 1
-    return dead
+    return (reach & ~_covered_twice(tables, reach | tips)).bit_count()
 
 
-def _longest_path(adj: Sequence[int], u: int, v: int, allowed: int, best: int) -> tuple[int, list[int] | None]:
+def _longest_path(
+    adj: Sequence[int], tables: Tables, u: int, v: int, allowed: int, best: int
+) -> tuple[int, list[int] | None]:
     """Longest simple path through edge uv inside ``allowed``, if longer than ``best``.
 
     Returns the best length and the vertex sequence of a path of that length,
@@ -153,10 +252,10 @@ def _longest_path(adj: Sequence[int], u: int, v: int, allowed: int, best: int) -
         cand = adj[end] & free
         if not cand:
             return
-        reach = reachable_within(adj, 1 << end, free)
+        reach = reachable_within(tables, 1 << end, free)
         room = length + reach.bit_count() - best
         # Only one dead end can lie on the one arm still open: at its end.
-        if room <= 0 or room <= _dead_ends(adj, reach, 1 << end) - 1:
+        if room <= 0 or room <= _dead_ends(tables, reach, 1 << end) - 1:
             return
         while cand:
             low = cand & -cand
@@ -169,10 +268,10 @@ def _longest_path(adj: Sequence[int], u: int, v: int, allowed: int, best: int) -
         # Every completion adds one edge per new vertex, and new vertices must
         # be reachable from the current u-arm tip or from v through free ones.
         tips = (1 << end) | vbit
-        reach = reachable_within(adj, tips, free)
+        reach = reachable_within(tables, tips, free)
         room = length + 1 + reach.bit_count() - best
         # Both arms are open, so two dead ends can count: one at each end.
-        if room <= 0 or room <= _dead_ends(adj, reach, tips) - 2:
+        if room <= 0 or room <= _dead_ends(tables, reach, tips) - 2:
             return
         arm_v(v, free, length + 1)
         cand = adj[end] & free
@@ -187,21 +286,25 @@ def _longest_path(adj: Sequence[int], u: int, v: int, allowed: int, best: int) -
     return best, witness
 
 
-def _peel(adj: Sequence[int], region: int, keep: int) -> int:
+def _peel(tables: Tables, region: int, keep: int) -> int:
     """Drop from ``region``, until none is left, every vertex outside ``keep``
-    with fewer than two neighbours in what remains of it."""
-    todo = region & ~keep
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        nb = adj[low.bit_length() - 1] & region
-        if not nb & (nb - 1):
-            region ^= low
-            todo |= nb & ~keep  # its one neighbour may now fall below two
-    return region
+    with fewer than two neighbours in what remains of it.
+
+    Each round drops all such vertices at once. A dropped vertex lies in no
+    subset of ``region`` whose vertices outside ``keep`` all have two
+    neighbours in it, so the rounds end at the largest such subset, as a
+    one-vertex-at-a-time worklist does.
+    """
+    while True:
+        drop = region & ~keep & ~_covered_twice(tables, region)
+        if not drop:
+            return region
+        region ^= drop
 
 
-def _longest_cycle(adj: Sequence[int], u: int, v: int, allowed: int, best: int) -> tuple[int, list[int] | None]:
+def _longest_cycle(
+    adj: Sequence[int], tables: Tables, u: int, v: int, allowed: int, best: int
+) -> tuple[int, list[int] | None]:
     """Longest u-v path other than the edge uv inside ``allowed``, if longer than ``best``.
 
     The path closes into a cycle with uv. Returns the best path length and
@@ -219,12 +322,12 @@ def _longest_cycle(adj: Sequence[int], u: int, v: int, allowed: int, best: int) 
                 best = length
                 witness = trail[:]
             return
-        reach = reachable_within(adj, 1 << end, free)
+        reach = reachable_within(tables, 1 << end, free)
         if not reach & vbit or length + reach.bit_count() <= best:
             return
         # An inner vertex of the end..v path has two neighbours on it, so
         # peel every vertex but v with fewer than two in the region left.
-        region = _peel(adj, reach | (1 << end), (1 << end) | vbit)
+        region = _peel(tables, reach | (1 << end), (1 << end) | vbit)
         if length + region.bit_count() - 1 <= best:
             return
         # Scarce neighbours first (Warnsdorff): they are the likeliest to be
@@ -258,7 +361,7 @@ def longest_path_through_edge(g: Graph, e: tuple[int, int], cap: int = DEFAULT_E
     """p(e): edges on the longest simple path containing e (>= 1, the edge itself)."""
     u, v = _check_edge(g, e)
     _check_cap(g, cap, "longest path through an edge")
-    return _longest_path(g.adj, u, v, g.vertex_mask(), 1)[0]
+    return _longest_path(g.adj, neighbourhood_tables(g.adj), u, v, g.vertex_mask(), 1)[0]
 
 
 def longest_cycle_through_edge(g: Graph, e: tuple[int, int], cap: int = DEFAULT_EXACT_CAP) -> int:
@@ -266,7 +369,7 @@ def longest_cycle_through_edge(g: Graph, e: tuple[int, int], cap: int = DEFAULT_
     u, v = _check_edge(g, e)
     _check_cap(g, cap, "longest cycle through an edge")
     # A best path length of 1 stands for "no u-v path besides uv", so c = 2.
-    return _longest_cycle(g.adj, u, v, g.vertex_mask(), 1)[0] + 1
+    return _longest_cycle(g.adj, neighbourhood_tables(g.adj), u, v, g.vertex_mask(), 1)[0] + 1
 
 
 Bounds = dict[tuple[int, int], int]
@@ -481,15 +584,18 @@ def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
                     c[edge] = mask.bit_count()
                     p[edge] = c[edge] - 1
 
+    tables = None  # built for the first search; blocks the closure settles need none
     for e in edges:
         u, v = e
         mask = block.get(e)
         if mask is not None and c[e] < mask.bit_count():
-            cyc = _longest_cycle(adj, u, v, mask, c[e] - 1)[1]
+            tables = tables or neighbourhood_tables(adj)
+            cyc = _longest_cycle(adj, tables, u, v, mask, c[e] - 1)[1]
             if cyc is not None:
                 _expand(adj, p, c, cyc, True)
         if p[e] < component[u].bit_count() - 1:
-            path = _longest_path(adj, u, v, component[u], p[e])[1]
+            tables = tables or neighbourhood_tables(adj)
+            path = _longest_path(adj, tables, u, v, component[u], p[e])[1]
             if path is not None:
                 _expand(adj, p, c, path, False)
     longest_path = max(p.values(), default=0)

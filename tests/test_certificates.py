@@ -7,6 +7,7 @@ import pytest
 
 from cliquebounds import (
     all_weights,
+    core_numbers,
     count_cliques,
     cross_validate,
     cycle_equality_certificate,
@@ -359,6 +360,15 @@ class TestCrossValidation:
                 core, _ = induced_subgraph(g, x_core(g, t))
                 expected = all(is_clique(core, comp) for comp in connected_components(core))
                 assert cert.holds == expected
+
+    def test_core_keep_set_from_the_core_numbers_is_the_peeled_core(self, corpus):
+        """The keep set read from the core numbers is x_core's fixed point, at every order."""
+        for n in range(1, 8):
+            for g in corpus[n]:
+                core = core_numbers(g)
+                for t in range(1, n + 3):
+                    assert vertex_core_certificate(g, t, core).keep == x_core(g, t), (g, t)
+                    assert vertex_core_certificate(g, t).keep == x_core(g, t), (g, t)
 
 
 class TestStructurePredicates:

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from cliquebounds.cli import EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from cliquebounds.graph import write_graph6
 
 
 def run(capsys, *argv):
@@ -169,6 +170,35 @@ class TestVerify:
         # K4, then K3, each at t = 2 and 3, with one row per default kind
         cells = [row.split(",") for row in rows]
         assert [(c[0], c[3]) for c in cells] == [(line, t) for line in ("C~", "Bw") for t in "23" for _ in range(4)]
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_a_failing_worker_names_its_graph(self, capsys, tmp_path, monkeypatch, parallelism):
+        """An exception in a worker, a ValueError too, is a fault of the
+        program: the sweep ends with exit 3 and names the graph, after the
+        rows of the graphs before it, as at a malformed line."""
+        import cliquebounds.search as search
+
+        evaluate = search.evaluate_graph
+
+        def failing(g, *args):
+            if write_graph6(g) == "Bw":
+                raise ValueError("planted")
+            return evaluate(g, *args)
+
+        monkeypatch.setattr(search, "evaluate_graph", failing)  # forked pool workers inherit it
+        path = tmp_path / "stream.g6"
+        path.write_text("C~\nBw\nCs\n")
+        outputs = {name: tmp_path / name for name in ("findings.jsonl", "summary.json", "rows.csv")}
+        code, _, err = run(capsys, "verify", str(path), "--t", "2:3", "--parallelism", parallelism,
+                           "--findings", str(outputs["findings.jsonl"]),
+                           "--summary", str(outputs["summary.json"]), "--csv", str(outputs["rows.csv"]))
+        assert code == EXIT_INTERNAL
+        traceback, error = err.rsplit("\n", 2)[:2]
+        assert error == "error: Bw: ValueError: planted"
+        assert traceback.startswith("Traceback") and traceback.endswith("ValueError: planted")
+        assert not outputs["findings.jsonl"].exists() and not outputs["summary.json"].exists()
+        _, *rows = outputs["rows.csv"].read_text().splitlines()
+        assert [(row.split(",")[0], row.split(",")[3]) for row in rows] == [("C~", t) for t in "23" for _ in range(4)]
 
     def test_stdin_is_streamed_not_read_whole(self, capsys, monkeypatch, tmp_path):
         class LinesOnly(io.StringIO):

@@ -127,7 +127,22 @@ def test_search_config_rejects_an_empty_order_range(t_min, t_max, message):
     SearchConfig(t_min=3, t_max=3)
 
 
+def test_replay_propagates_a_fault_of_the_program(small_sweep, monkeypatch):
+    """Only a malformed finding reads as "does not replay"; a bug in the
+    evaluation is raised, not mistaken for a finding that fails to reproduce."""
+    import cliquebounds.search as search
+
+    def broken(*args):
+        raise TypeError("planted")
+
+    monkeypatch.setattr(search, "evaluate_graph", broken)
+    with pytest.raises(TypeError, match="planted"):
+        replay_finding(small_sweep.findings[0])
+
+
 def test_unknown_kind_is_rejected_not_skipped():
+    with pytest.raises(ValueError, match="unknown per-order bound kind 'bogus'"):
+        SearchConfig(kinds=("local_vertex", "bogus"))
     with pytest.raises(ValueError, match="unknown per-order bound kind 'bogus'"):
         evaluate_graph(parse_graph6("C~"), [3], ("bogus",))
     with pytest.raises(ValueError, match="'bogus'"):
@@ -493,7 +508,7 @@ def test_each_certificate_is_built_once_per_reduced_graph(monkeypatch):
     monkeypatch.setattr(certificates, "block_decomposition", lambda h: decomposed.append(h) or decompose(h))
     for name, builder, key in (
         ("vertex", "vertex_equality_certificate", x_set),
-        ("core", "vertex_core_certificate", x_core),
+        ("core", "vertex_core_certificate", lambda g, t, core: x_core(g, t)),
         ("edge", "edge_equality_certificate", lambda g, w, t: frozenset(z_set(g, w, t))),
         ("cycle", "cycle_equality_certificate", lambda g, w, t: frozenset(w_set(g, w, t))),
     ):

@@ -1,5 +1,6 @@
 """Path/cycle weights against the subset-DP oracle, plus block structure."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from cliquebounds import (
     longest_path_through_edge,
 )
 from cliquebounds.enumeration import random_gnp
-from cliquebounds.graph import GraphError, connected_components, induced_subgraph, parse_graph6
+from cliquebounds.graph import GraphError, connected_components, induced_subgraph, parse_graph6, reachable_within
 from cliquebounds.oracles import dp_all_weights, reference_cycle_rules
 from cliquebounds.weights import _crossover, _expand, _longest_cycle, _longest_path, _rotation, block_vertex_sets
 
@@ -441,9 +442,9 @@ class TestExchangeRules:
         assert oracle.circumference == 9 and oracle.longest_path == 9
         p, c = fresh_bounds(g)
         for u, v in g.edges():
-            _, cyc = _longest_cycle(g.adj, u, v, full, 1)
+            _, cyc = _longest_cycle(g.adj, kernel.neighbourhood_tables(g.adj), u, v, full, 1)
             _expand(g.adj, p, c, cyc, True)
-            _, walk = _longest_path(g.adj, u, v, full, 1)
+            _, walk = _longest_path(g.adj, kernel.neighbourhood_tables(g.adj), u, v, full, 1)
             _expand(g.adj, p, c, walk, False)
             assert max(c.values()) <= 9
         assert p == oracle.p and c == oracle.c
@@ -456,7 +457,7 @@ class TestExchangeRules:
             full = g.vertex_mask()
             for u, v in g.edges()[:4]:
                 for search, closed in ((_longest_cycle, True), (_longest_path, False)):
-                    _, seq = search(g.adj, u, v, full, 1)
+                    _, seq = search(g.adj, kernel.neighbourhood_tables(g.adj), u, v, full, 1)
                     if seq is None:
                         continue
                     p, c = expanded(g, seq, closed)
@@ -584,7 +585,7 @@ def test_saturation_stop_is_exact_on_random_graphs(monkeypatch):
         assert_the_saturation_stop_is_exact(g, monkeypatch)
         rng = random.Random(seed)
         for u, v in g.edges():
-            _, cyc = _longest_cycle(g.adj, u, v, g.vertex_mask(), 1)
+            _, cyc = _longest_cycle(g.adj, kernel.neighbourhood_tables(g.adj), u, v, g.vertex_mask(), 1)
             if cyc is not None:
                 p = {e: rng.randint(1, n - 1) for e in g.edges()}
                 c = {e: rng.randint(2, n) for e in g.edges()}
@@ -622,7 +623,7 @@ def test_cycle_rules_match_the_reference():
 
 
 def test_pruning_rules_keep_the_kernel_nodes_few(monkeypatch):
-    """A guard on the number of kernel nodes, one reachability walk each.
+    """A guard on the number of kernel nodes, one reachability step each.
 
     G(22, 0.3, 1) is one Hamiltonian block: its cycle searches must find a
     Hamiltonian cycle and take 123 walks; with neighbours tried in index
@@ -630,7 +631,9 @@ def test_pruning_rules_keep_the_kernel_nodes_few(monkeypatch):
     vertices, and its searches must prove that nothing longer exists: 14,475
     walks; without degree peeling in the cycle search 68,248, without the
     dead-end count of the path search 150,866 (36,250 without it in
-    ``arm_u`` alone). The kernel before these rules took 206,391.
+    ``arm_u`` alone). The kernel before these rules took 206,391. Each
+    graph must count a node: a kernel that bypassed the counted step would
+    read 0 and pass the bounds.
     """
     calls = 0
     walk = kernel.reachable_within
@@ -642,10 +645,10 @@ def test_pruning_rules_keep_the_kernel_nodes_few(monkeypatch):
 
     monkeypatch.setattr(kernel, "reachable_within", counted)
     all_weights(random_gnp(22, 0.3, 1), cap=22)
-    assert calls <= 250, calls
+    assert 0 < calls <= 250, calls
     calls = 0
     all_weights(random_gnp(20, 0.2, 1))
-    assert calls <= 20_000, calls
+    assert 0 < calls <= 20_000, calls
 
 
 # ---------------------------------------------------------------- closure rule
@@ -753,3 +756,139 @@ class TestClosureRule:
             w = all_weights(g)
             assert set(w.c.values()) == {g.n} and set(w.p.values()) == {g.n - 1}, g
         assert calls == {"cycle": 0, "path": 0}
+
+
+# ---------------------------------------------------------- neighbourhood tables
+
+
+def random_adjacency(n, density, rng):
+    adj = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def reference_covered_twice(adj, s):
+    return sum(1 << x for x in range(len(adj)) if (adj[x] & s).bit_count() >= 2)
+
+
+def reference_dead_ends(adj, reach, tips):
+    return sum(1 for x in range(len(adj)) if reach >> x & 1 and (adj[x] & (reach | tips)).bit_count() < 2)
+
+
+def reference_peel(adj, region, keep):
+    """One vertex at a time: drop any vertex outside ``keep`` with fewer than
+    two neighbours in the region left, until none is left."""
+    while True:
+        low = next((1 << x for x in range(len(adj))
+                    if (region & ~keep) >> x & 1 and (adj[x] & region).bit_count() < 2), 0)
+        if not low:
+            return region
+        region ^= low
+
+
+# Around each table width (n = 2 * w - 1, 2 * w, 2 * w + 1) up to the 12-bit
+# cap at n = 24, and above it, where a half is split again.
+TABLE_SIZES = [0, 1, 2, 7, 8, 9, 15, 16, 17, 23, 24, 25, 40, 64]
+
+
+@pytest.mark.parametrize("n", TABLE_SIZES)
+def test_table_helpers_match_the_direct_references(n):
+    """Reach, covered-twice, dead-end and peel steps from the tables against
+    ``graph.reachable_within`` and per-vertex loops, on random adjacencies
+    of every density and random vertex sets."""
+    rng = random.Random(n)
+    assert (n > 2 * kernel.TABLE_BITS) == any(isinstance(t, kernel._Wide) for t in kernel.neighbourhood_tables([0] * n))
+    for density in (0.05, 0.15, 0.3, 0.6, 0.9):
+        adj = random_adjacency(n, density, rng)
+        tables = kernel.neighbourhood_tables(adj)
+        for _ in range(25):
+            a, b, c = (rng.getrandbits(n) for _ in range(3))
+            assert kernel.reachable_within(tables, a & ~b, b) == reachable_within(adj, a & ~b, b)
+            assert kernel._covered_twice(tables, a) == reference_covered_twice(adj, a)
+            assert kernel._dead_ends(tables, a & ~c, c) == reference_dead_ends(adj, a & ~c, c)
+            keep = a & c & -(a & c)  # a tip, as the cycle search keeps, or none
+            assert kernel._peel(tables, a, keep) == reference_peel(adj, a, keep)
+            assert kernel._peel(tables, a, a & c) == reference_peel(adj, a, a & c)
+
+
+def relabelled(n, edges, seed):
+    """The graph on ``edges`` with vertex x renamed order[x], shuffled across
+    both table halves, and the renaming ``order``."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return from_edge_list(n, [(order[u], order[v]) for u, v in edges]), order
+
+
+def random_tree_edges(n, seed):
+    rng = random.Random(seed)
+    return [(rng.randrange(v), v) for v in range(1, n)]
+
+
+def tree_path_weights(g):
+    """p(e) in a tree: the height of u's side of e, that of v's side, plus one."""
+    def height(x, parent):
+        return max((height(y, x) + 1 for y in range(g.n) if g.adj[x] >> y & 1 and y != parent), default=0)
+
+    return {(u, v): height(u, v) + height(v, u) + 1 for u, v in g.edges()}
+
+
+class TestLargeGraphs:
+    """all_weights above 2 * TABLE_BITS vertices, with the cap raised, where
+    each table half is split again, on graphs whose weights are known."""
+
+    @pytest.mark.parametrize("n", [30, 35, 40])
+    def test_long_cycle(self, n):
+        g, _ = relabelled(n, [(i, (i + 1) % n) for i in range(n)], n)
+        w = all_weights(g, cap=n)
+        assert set(w.p.values()) == {n - 1} and set(w.c.values()) == {n}
+        assert (w.longest_path, w.circumference) == (n - 1, n)
+
+    @pytest.mark.parametrize("n", [30, 35, 40])
+    def test_tree(self, n):
+        g, _ = relabelled(n, random_tree_edges(n, n), n + 1)
+        w = all_weights(g, cap=n)
+        assert w.p == tree_path_weights(g)
+        assert set(w.c.values()) == {2} and w.circumference == 0
+
+    @pytest.mark.parametrize("k", [15, 17, 19])
+    def test_chain_of_triangles(self, k):
+        """Triangles x_{i-1} y_i x_i for i = 1..k, on 2k + 1 vertices: every
+        edge lies on a triangle and only there, so c = 3. The path x_0 y_1 x_1
+        ... y_k x_k has all 2k edges but the x_{i-1} x_i; a longest path
+        through x_{i-1} x_i misses y_i, unless it ends there: 2k - 1, or
+        2(k - i) + 2 from y_i rightwards, or 2(i - 1) + 2 leftwards to it."""
+        n = 2 * k + 1
+        x = [2 * i for i in range(k + 1)]
+        y = [None] + [2 * i - 1 for i in range(1, k + 1)]
+        edges, p = [], {}
+        for i in range(1, k + 1):
+            edges += [(x[i - 1], y[i]), (y[i], x[i]), (x[i - 1], x[i])]
+            p[x[i - 1], y[i]] = p[y[i], x[i]] = 2 * k
+            p[x[i - 1], x[i]] = max(2 * k - 1, 2 * (k - i) + 2, 2 * (i - 1) + 2)
+        g, order = relabelled(n, edges, k)
+        w = all_weights(g, cap=n)
+        assert w.p == {tuple(sorted((order[u], order[v]))): length for (u, v), length in p.items()}
+        assert set(w.c.values()) == {3} and len(w.blocks.blocks) == k
+
+
+# sha256 of repr((sorted(p.items()), sorted(c.items()))) of all_weights, recorded
+# with the bit-by-bit kernel that the neighbourhood tables replaced.
+TAIL_SHA256 = {
+    (23, 2): "f07f537b9cf75540971f0325d4619950dba26c4635af62db5d107a29592b752c",
+    (24, 3): "3d8a178797c518905d527f88dcb1ea6ba39e274ccbbef803e0422da3dcf11258",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, seed", sorted(TAIL_SHA256))
+def test_tail_graphs_at_the_cap(n, seed):
+    """Sparse G(n, 0.2) graphs at cap n whose searches must prove that no
+    longer path exists: the slowest known inputs of the kernel (a few seconds
+    each; run with ``-m slow``)."""
+    w = all_weights(random_gnp(n, 0.2, seed), cap=n)
+    digest = hashlib.sha256(repr((sorted(w.p.items()), sorted(w.c.items()))).encode("ascii")).hexdigest()
+    assert digest == TAIL_SHA256[n, seed]
