@@ -32,15 +32,7 @@ from .certificates import VERDICT_EXEMPT, is_block_forest
 from .cliques import count_all_cliques, count_cliques
 from .enumeration import enumerate_graphs
 from .graph import Graph, GraphError, parse_edge_list_text, parse_graph6, write_graph6
-from .oracles import (
-    DP_WEIGHT_CAP,
-    NAIVE_CLIQUE_CAP,
-    dp_all_weights,
-    dp_longest_cycle_through_edge,
-    dp_longest_path_through_edge,
-    naive_count_all_cliques,
-    naive_count_cliques,
-)
+from .oracles import NAIVE_CLIQUE_CAP, dp_all_weights, naive_count_all_cliques, naive_count_cliques
 from .search import (
     CATEGORIES,
     CATEGORY_BOUND_VIOLATION,
@@ -384,20 +376,17 @@ def cmd_oracle(args) -> int:
             mismatches += 1
         print(f"all {fast_all:>8} {slow_all:>8}{'' if fast_all == slow_all else ' MISMATCH'}")
     else:
-        if g.n > DP_WEIGHT_CAP:
-            raise CapExceededError(f"path-weight oracle supports n <= {DP_WEIGHT_CAP}, got n={g.n}")
+        dp = dp_all_weights(g)  # one subset-DP table set for every edge; it enforces the oracle's cap
         print(f"{'edge':>7} {'p fast':>7} {'p dp':>7} {'c fast':>7} {'c dp':>7}")
         for e in g.edges():
             pf = longest_path_through_edge(g, e)
-            po = dp_longest_path_through_edge(g, e)
             cf = longest_cycle_through_edge(g, e)
-            co = dp_longest_cycle_through_edge(g, e)
-            ok = pf == po and cf == co
+            ok = pf == dp.p[e] and cf == dp.c[e]
             if not ok:
                 mismatches += 1
-            print(f"{_edge_key(e):>7} {pf:>7} {po:>7} {cf:>7} {co:>7}{'' if ok else ' MISMATCH'}")
+            print(f"{_edge_key(e):>7} {pf:>7} {dp.p[e]:>7} {cf:>7} {dp.c[e]:>7}{'' if ok else ' MISMATCH'}")
         # The kernel every sweep and analyze call runs, with all its shortcuts.
-        kernel, dp = all_weights(g), dp_all_weights(g)
+        kernel = all_weights(g)
         wrong = [e for e in g.edges() if (kernel.p[e], kernel.c[e]) != (dp.p[e], dp.c[e])]
         mismatches += len(wrong)
         print(f"all_weights: {g.m - len(wrong)} of {g.m} edges agree"

@@ -253,21 +253,13 @@ def delete_edges(g: Graph, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def connected_components(g: Graph) -> list[int]:
     """Vertex bitmasks of the components, ordered by smallest member."""
-    seen = 0
+    rest = g.vertex_mask()
     comps = []
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
+    while rest:
+        low = rest & -rest
+        comp = reachable_within(g.adj, low, rest) | low
         comps.append(comp)
-        seen |= comp
+        rest &= ~comp
     return comps
 
 

@@ -23,10 +23,10 @@ from .certificates import EqualityCertificate, x_core, x_set, z_set
 from .cliques import CliqueCounts
 from .enumeration import _refined_classes
 from .graph import Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits
-from .weights import WITNESS_CAP, Bounds, CapExceededError, WeightMap, _crossover, block_decomposition
+from .weights import Bounds, CapExceededError, WeightMap, _crossover, block_decomposition
 
 NAIVE_CLIQUE_CAP = 10
-DP_WEIGHT_CAP = 12
+DP_WEIGHT_CAP = 15
 PRODUCT_CANONICAL_CAP = 40_320  # vertex orders tried; 8!, so it covers every graph on n <= 8
 
 
@@ -106,6 +106,7 @@ def _start_table(adj: list[int], n: int, u: int) -> list[int]:
 
 
 def _p_from_tables(g: Graph, ends: list[int], h_v: list[int], u: int, v: int) -> int:
+    """p(uv): a u-arm on vertex set S joined by uv to the longest v-arm outside S."""
     full = g.vertex_mask()
     ubit, vbit = 1 << u, 1 << v
     best = 1
@@ -123,6 +124,7 @@ def _p_from_tables(g: Graph, ends: list[int], h_v: list[int], u: int, v: int) ->
 
 
 def _c_from_start_table(frm: list[int], n: int, v: int) -> int:
+    """c(uv): 1 + the longest u-v path of length >= 2, or 2 if none exists."""
     # A u-v path of length >= 2 never uses the edge uv itself, so the start
     # table of the unmodified graph suffices; |S| = 2 is exactly the edge.
     vbit = 1 << v
@@ -133,23 +135,6 @@ def _c_from_start_table(frm: list[int], n: int, v: int) -> int:
             if length > best:
                 best = length
     return best + 1 if best else 2
-
-
-def dp_longest_path_through_edge(g: Graph, e: tuple[int, int]) -> int:
-    """Oracle p(e): combine disjoint one-sided arm sets from the DP table."""
-    _check_cap(g, DP_WEIGHT_CAP, "path weight")
-    u, v = e if e[0] < e[1] else (e[1], e[0])
-    ends = _end_table(g)
-    h_v = _best_subpath_table(ends, g.n, v)
-    return _p_from_tables(g, ends, h_v, u, v)
-
-
-def dp_longest_cycle_through_edge(g: Graph, e: tuple[int, int]) -> int:
-    """Oracle c(e): 1 + longest u-v path of length >= 2, or 2 if none exists."""
-    _check_cap(g, DP_WEIGHT_CAP, "cycle weight")
-    u, v = e if e[0] < e[1] else (e[1], e[0])
-    frm = _start_table(list(g.adj), g.n, u)
-    return _c_from_start_table(frm, g.n, v)
 
 
 def dp_all_weights(g: Graph) -> WeightMap:
@@ -201,8 +186,7 @@ def reference_cycle_rules(adj: list[int], p: Bounds, c: Bounds, cycle: list[int]
                 if c[x, y] < length or c[key] < length:
                     c[x, y] = max(c[x, y], length)
                     c[key] = max(c[key], length)
-                    if len(queue) <= WITNESS_CAP:
-                        queue.append(_crossover(order, order.index(x), order.index(y)))
+                    queue.append(_crossover(order, order.index(x), order.index(y)))
 
 
 def product_canonical_graph(g: Graph) -> Graph:

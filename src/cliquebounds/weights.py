@@ -22,11 +22,6 @@ every weight stays exact:
   neighbour with the fewest neighbours left, the likeliest to be cut off, so
   a long cycle is found early and prunes the rest.
 
-They cut the tail on sparse G(n, p) above the default cap. All weights of
-G(22, 0.3, 1) took 46 s and 24.8M reachability walks without them, and take
-under 0.01 s and 123 walks with them; G(24, 0.2, 1) went from 15.8 s to 0.4 s
-(processor time, Python 3.11 on a 2-vCPU VM).
-
 Each search node is a few table lookups (``neighbourhood_tables``). The
 first search of a graph splits its vertex ids into a low and a high half of
 w = ceil(n/2) ids and stores, for every subset b of a half, ``one[b]``, the
@@ -42,15 +37,11 @@ then splits into a = S & (2^w - 1) and b = S >> w:
   tip and v outside it for S = region, round after round until none drops,
   the same fixpoint as a one-vertex-at-a-time worklist.
 
-Only the bit walks change, not which nodes are visited: G(22, 0.3, 1) and
-G(20, 0.2, 1) still take exactly 123 and 14,475 reach steps. A half holds
-at most TABLE_BITS = 12 ids (2^12 entries per table); above 24 vertices,
-which only a raised cap admits, each half is split again the same way.
-Over the 110 sparse G(14..15, 0.3) graphs of the ``analyze-sparse``
-benchmark ``all_weights`` fell from 0.42 s to 0.25 s, and G(23, 0.2, 2)
-and G(24, 0.2, 3) at cap n from 15.7 s to 7.3 s and from 6.1 s to 3.3 s.
+A half holds at most TABLE_BITS = 12 ids (2^12 entries per table); above
+24 vertices, which only a raised cap admits, each half is split again the
+same way.
 
-``all_weights`` runs the same searches as the per-edge functions, with six
+``all_weights`` runs the same searches as the per-edge functions, with five
 shortcuts that cannot change a result:
 
 - Block restriction. A cycle lies inside one biconnected block (Hopcroft and
@@ -68,16 +59,11 @@ shortcuts that cannot change a result:
   cycles through two chords (the switch in the proof of Ore's theorem,
   O. Ore, 1960) and rotated paths through an edge from an end (L. Posa,
   1976). Their bounds are witnessed too, so they only let more searches be
-  skipped.
+  skipped. A derived witness is queued only when it has just raised a
+  bound, and no bound exceeds n, so the expansion ends.
 - Ceiling skip. No search runs once the bound equals the ceiling: the
   block's vertex count for c(e), the component's vertex count minus 1 for
   p(e).
-- Saturation stop. The crossovers of a cycle of length L keep its vertex
-  set, and the cycle rules raise only edges among those vertices, to at
-  most c = L and p = L - 1. Once every such edge has both, the crossovers
-  still queued can raise nothing, so the expansion ends there. On the 40
-  dense graphs of the search-count guard this cuts the cycle rules calls
-  from 666 to 305.
 - Closure rule. Before any search, each block B with at least 3 vertices
   gets its (|B|+1)-closure: two non-adjacent vertices whose degrees in
   G[B] sum to at least |B| + 1 are joined, repeatedly. If it ends complete,
@@ -88,9 +74,7 @@ shortcuts that cannot change a result:
   These are the only bounds not witnessed by a concrete path or cycle in
   hand: the theorem proves them, and c(e) equals its ceiling. So the
   ceiling skip runs no cycle search in B, and no path search either when B
-  is its whole component. On the 400 ``verify-dense-p2`` benchmark graphs
-  it settles 309 blocks, and the cycle searches fall from 577 to 256 and
-  the cycle rules calls from 3,214 to 942.
+  is its whole component.
 """
 
 from __future__ import annotations
@@ -101,8 +85,6 @@ from typing import Sequence
 from .graph import Graph, GraphError, connected_components, iter_bits
 
 DEFAULT_EXACT_CAP = 20
-# Witnesses derived by the exchange rules from one search's witness, at most.
-WITNESS_CAP = 200
 # Vertex ids per half of the neighbourhood tables, at most: 2^12 entries per table.
 TABLE_BITS = 12
 
@@ -406,7 +388,7 @@ def _rotation(path: list[int], i: int) -> list[int]:
 
 def _expand(adj: Sequence[int], p: Bounds, c: Bounds, witness: list[int], closed: bool) -> None:
     """Raise p and c from a witnessed path, or cycle if ``closed``, and from
-    the witnesses the exchange rules derive from it, at most WITNESS_CAP.
+    the witnesses the exchange rules derive from it.
 
     Every raised bound is attained by a concrete path or cycle:
     - A cycle of length L gives c >= L and p >= L - 1 on its edges, and
@@ -417,13 +399,9 @@ def _expand(adj: Sequence[int], p: Bounds, c: Bounds, witness: list[int], closed
       inner vertex gives a rotated path (``_rotation``) that raises p on that
       edge.
     A derived witness differs from its parent only in edges its rule has
-    just raised, so only the root's own edges are raised here. It is expanded
-    in turn only if it raised a bound, so the expansion ends even without the
-    cap.
-
-    The saturation stop (``_saturated``) is tested only after a rules call
-    that queued nothing, with witnesses still queued: a call that queued a
-    crossover has just raised a bound, so the test would rarely pass there.
+    just raised, so only the root's own edges are raised here. It is queued
+    only if it raised a bound, and the bounds are at most n, so the queue
+    ends.
     """
     if closed:
         ring = witness + witness[:1]
@@ -434,33 +412,8 @@ def _expand(adj: Sequence[int], p: Bounds, c: Bounds, witness: list[int], closed
         _raise_along(p, witness, len(witness) - 1)
         rules = _path_rules
     queue = [witness]
-    for i, seq in enumerate(queue):  # grows while it is walked
-        queued = len(queue)
+    for seq in queue:  # grows while it is walked
         rules(adj, p, c, seq, queue)
-        if closed and queued == len(queue) > i + 1 and _saturated(adj, c, witness):
-            return
-
-
-def _saturated(adj: Sequence[int], c: Bounds, cycle: list[int]) -> bool:
-    """True iff every edge among the vertices of ``cycle``, of length L, has c >= L.
-
-    Each such edge also has p >= L - 1 once the rules ran on ``cycle``: the
-    cycle's own edges got it with c, and the rules give it to every chord.
-    So no crossover, which has the same vertices and length, can raise a bound.
-    """
-    length = len(cycle)
-    mask = 0
-    for x in cycle:
-        mask |= 1 << x
-    for x in cycle:
-        above = adj[x] & mask & ~((2 << x) - 1)
-        while above:
-            low = above & -above
-            above ^= low
-            y = low.bit_length() - 1
-            if c[x, y] < length:
-                return False
-    return True
 
 
 def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], queue: list[list[int]]) -> None:
@@ -495,16 +448,14 @@ def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], que
                 if c[xy] < length or c[key] < length:
                     c[xy] = max(c[xy], length)
                     c[key] = max(c[key], length)
-                    if len(queue) <= WITNESS_CAP:
-                        queue.append(_crossover(cycle, i, j))
+                    queue.append(_crossover(cycle, i, j))
             py = cycle[j - 1]
             if adj[px] >> py & 1:
                 key = (px, py) if px < py else (py, px)
                 if c[xy] < length or c[key] < length:
                     c[xy] = max(c[xy], length)
                     c[key] = max(c[key], length)
-                    if len(queue) <= WITNESS_CAP:
-                        queue.append(_crossover(reverse, last - i, last - j))
+                    queue.append(_crossover(reverse, last - i, last - j))
 
 
 def _path_rules(adj: Sequence[int], p: Bounds, c: Bounds, path: list[int], queue: list[list[int]]) -> None:
@@ -522,8 +473,7 @@ def _path_rules(adj: Sequence[int], p: Bounds, c: Bounds, path: list[int], queue
             key = (x, end) if x < end else (end, x)
             if p[key] < length:
                 p[key] = length
-                if len(queue) <= WITNESS_CAP:
-                    queue.append(_rotation(order, order.index(x)))
+                queue.append(_rotation(order, order.index(x)))
 
 
 def _closure_is_complete(adj: Sequence[int], mask: int) -> bool:

@@ -477,6 +477,14 @@ class TestOracle:
         assert "all_weights: 9 of 10 edges agree MISMATCH 0-1\n" in out
         assert err == "1 mismatch(es): fast path disagrees with the oracle\n"
 
+    def test_pweights_covers_the_analyze_sparse_orders(self, capsys):
+        from cliquebounds import write_graph6
+        from cliquebounds.enumeration import random_gnp
+
+        code, out, _ = run(capsys, "oracle", write_graph6(random_gnp(15, 0.3, 2)), "--mode", "pweights")
+        assert code == EXIT_OK
+        assert "all_weights: 26 of 26 edges agree\nfast and oracle agree" in out
+
     def test_cap_error(self, capsys):
         from cliquebounds import from_edge_list, write_graph6
 
@@ -484,6 +492,15 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", big, "--mode", "cliques")
         assert code == EXIT_USAGE
         assert "n <= 10" in err
+
+    def test_pweights_cap_error(self, capsys):
+        from cliquebounds import from_edge_list, write_graph6
+
+        big = write_graph6(from_edge_list(16, [(i, i + 1) for i in range(15)]))
+        code, out, err = run(capsys, "oracle", big, "--mode", "pweights")
+        assert code == EXIT_USAGE
+        assert "n <= 15, got n=16" in err
+        assert out == ""
 
 
 def test_env_var_sets_default_parallelism(capsys, monkeypatch):
