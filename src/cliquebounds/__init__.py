@@ -78,7 +78,6 @@ from .search import (
     run_sweep,
 )
 from .weights import (
-    BlockDecomposition,
     CapExceededError,
     WeightMap,
     all_weights,

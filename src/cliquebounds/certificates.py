@@ -45,7 +45,11 @@ reads its keep set from the same core numbers, so no order peels the core
 again. The three classical
 certificates (``classical_certificate``) check g itself and are built once
 per graph. Every other structure check, a given component or block being a
-clique (on exactly r vertices), is one loop, ``_first_non_clique``.
+clique (on exactly r vertices), is one loop, ``_first_non_clique``. A block
+is a vertex mask, as ``weights.block_decomposition`` returns it: the cycle
+certificate and ``is_block_forest`` (and its K_r form) read those masks
+directly, and the cycle certificate's evidence is the first block, in the
+order the DFS closes them, that is not a clique.
 
 Every characterization verdict follows one rule, ``conjecture_verdict``:
 equality against certificate in a report that was already evaluated (see
@@ -77,7 +81,7 @@ from .bounds import (
 from .graph import (
     Graph, connected_components, delete_edges, induced_subgraph, is_clique, iter_bits, reachable_within, write_graph6,
 )
-from .weights import BlockDecomposition, WeightMap, block_decomposition, block_vertex_sets
+from .weights import WeightMap, block_decomposition
 
 VERDICT_BOTH_HOLD = "both-hold"
 VERDICT_BOTH_FAIL = "both-fail"
@@ -261,13 +265,13 @@ def edge_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityC
 def cycle_equality_certificate(g: Graph, weights: WeightMap, t: int) -> EqualityCertificate:
     """The graph minus short-cycle edges is a block forest.
 
-    When no edge is that short the stripped graph equals g, whose blocks
-    ``weights`` already holds.
+    Every block of the stripped graph must be a clique; the evidence is the
+    first that is not. When no edge is that short the stripped graph equals
+    g, whose blocks ``weights`` already holds.
     """
     short = w_set(g, weights, t)
     stripped = delete_edges(g, short)
-    decomp = block_decomposition(stripped) if short else weights.blocks
-    evidence = _first_non_clique(stripped, block_vertex_sets(decomp))
+    evidence = _first_non_clique(stripped, block_decomposition(stripped) if short else weights.blocks)
     return EqualityCertificate("cycle", evidence is None, evidence, stripped, stripped.vertex_mask())
 
 
@@ -372,11 +376,11 @@ def is_clique_union_with_isolated(g: Graph, size: int) -> bool:
     return _first_non_clique(g, (comp for comp in connected_components(g) if comp.bit_count() > 1), size) is None
 
 
-def is_block_forest_of_kr(g: Graph, r: int, decomp: BlockDecomposition) -> bool:
-    """True iff every block of g's decomposition is a clique on exactly r vertices (isolated vertices allowed)."""
-    return _first_non_clique(g, block_vertex_sets(decomp), r) is None
+def is_block_forest_of_kr(g: Graph, r: int, blocks: list[int]) -> bool:
+    """True iff every block of g, as vertex masks, is a clique on exactly r vertices (isolated vertices allowed)."""
+    return _first_non_clique(g, blocks, r) is None
 
 
-def is_block_forest(g: Graph, decomp: BlockDecomposition) -> bool:
-    """True iff every block of g's decomposition induces a clique."""
-    return _first_non_clique(g, block_vertex_sets(decomp)) is None
+def is_block_forest(g: Graph, blocks: list[int]) -> bool:
+    """True iff every block of g, as vertex masks, induces a clique."""
+    return _first_non_clique(g, blocks) is None

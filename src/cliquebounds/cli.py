@@ -31,7 +31,7 @@ from .bounds import (
 from .certificates import VERDICT_EXEMPT, is_block_forest
 from .cliques import count_all_cliques, count_cliques
 from .enumeration import enumerate_graphs
-from .graph import Graph, GraphError, parse_edge_list_text, parse_graph6, write_graph6
+from .graph import Graph, GraphError, iter_bits, parse_edge_list_text, parse_graph6, write_graph6
 from .oracles import NAIVE_CLIQUE_CAP, dp_all_weights, naive_count_all_cliques, naive_count_cliques
 from .search import (
     CATEGORIES,
@@ -52,6 +52,7 @@ from .weights import (
     DEFAULT_EXACT_CAP,
     CapExceededError,
     all_weights,
+    articulation_points,
     longest_cycle_through_edge,
     longest_path_through_edge,
 )
@@ -61,23 +62,13 @@ EXIT_FINDINGS = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-PARALLELISM_ENV = "CLIQUEBOUNDS_PARALLELISM"
-
-
-def _default_parallelism() -> int:
-    """The worker count from $CLIQUEBOUNDS_PARALLELISM; 1 when it is unset or empty."""
-    raw = os.environ.get(PARALLELISM_ENV) or "1"
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"{PARALLELISM_ENV} must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 def load_single_graph(spec: str, edge_list: bool) -> Graph:
     """Resolve an input argument: '-' for stdin, an existing path, or a graph6 literal."""
     if spec == "-":
         text = sys.stdin.read()
     elif os.path.exists(spec):
-        with open(spec, "r", encoding="ascii") as fh:
+        # a non-ASCII byte reads as a lone surrogate, which parse_graph6 rejects with its position
+        with open(spec, "r", encoding="ascii", errors="surrogateescape") as fh:
             text = fh.read()
     elif edge_list:
         raise GraphError(f"edge-list input must be a file or '-', got literal {spec!r}")
@@ -145,7 +136,7 @@ def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXAC
     graph6 = write_graph6(g)
     evaluation = evaluate_graph(g, ts, PER_ORDER_KINDS, weight_cap)
     weights = evaluation.weights
-    decomp = weights.blocks
+    edges = g.edges()
     all_count = sum(evaluation.census.values())
     totals = [
         make_report(KIND_LOCAL_VERTEX_TOTAL, None, all_count, local_vertex_total_bound(g)),
@@ -163,11 +154,10 @@ def build_analyze_report(g: Graph, ts: list[int], weight_cap: int = DEFAULT_EXAC
             "circumference": weights.circumference,
         },
         "blocks": {
-            "blocks": [[_edge_key(e) for e in block] for block in decomp.blocks],
-            "articulation_points": sorted(
-                v for v in range(g.n) if (decomp.articulation_points >> v) & 1
-            ),
-            "is_block_forest": is_block_forest(g, decomp),
+            # each block's edges are g's edges between its vertices, in g's edge order
+            "blocks": [[_edge_key(e) for e in edges if mask >> e[0] & mask >> e[1] & 1] for mask in weights.blocks],
+            "articulation_points": list(iter_bits(articulation_points(weights.blocks))),
+            "is_block_forest": is_block_forest(g, weights.blocks),
         },
         "t_values": ts,
         "reports": [r for order in evaluation.orders for r in reports_for_t(order)],
@@ -290,7 +280,7 @@ def _sweep(args, source: GraphSource, **options) -> int:
         t_min=t_min,
         t_max=t_max,
         kinds=_parse_kinds(args.kinds),
-        parallelism=args.parallelism if args.parallelism is not None else _default_parallelism(),
+        parallelism=args.parallelism,
         equality_cap=args.equality_cap,
         weight_cap=args.weight_cap,
         **options,
@@ -309,8 +299,12 @@ def _sweep(args, source: GraphSource, **options) -> int:
 
 
 def _file_lines(path: str) -> Iterator[str]:
-    """The lines of a file, opened on the first read, so a usage error is reported before a missing file."""
-    with open(path, "r", encoding="ascii") as fh:
+    """The lines of a file, opened on the first read, so a usage error is reported before a missing file.
+
+    A non-ASCII byte reads as a lone surrogate, as on stdin, so ``parse_graph6``
+    rejects its line by number after the lines before it are swept.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         yield from fh
 
 
@@ -420,8 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t", help="clique orders MIN:MAX (default 2..max degree + 1 per graph)")
         p.add_argument("--kinds", default=",".join(DEFAULT_SWEEP_KINDS),
                        help="comma-separated bound kinds, or 'all'")
-        p.add_argument("--parallelism", type=int,
-                       help=f"worker processes (default ${PARALLELISM_ENV} or 1)")
+        p.add_argument("--parallelism", type=int, default=1, help="worker processes")
         p.add_argument("--equality-cap", type=int, default=100,
                        help="max EQUALITY_INSTANCE findings per (n,t)")
         p.add_argument("--weight-cap", type=int, default=DEFAULT_EXACT_CAP)

@@ -45,8 +45,11 @@ same way.
 shortcuts that cannot change a result:
 
 - Block restriction. A cycle lies inside one biconnected block (Hopcroft and
-  Tarjan), so a bridge has c(e) = 2 without a search, and every other cycle
-  search runs on its block's vertices. A path search runs on its component.
+  Tarjan), so a bridge, a block of 2 vertices, has c(e) = 2 without a search,
+  and every other cycle search runs on its block's vertices. A block is a
+  vertex mask (``block_decomposition``), and its edges are g's edges between
+  its vertices, since two blocks share at most one vertex. A path search
+  runs on its component.
 - Witnessed incumbents. Each search returns the vertex sequence of its best
   path or cycle. A cycle of length L shows c >= L and p >= L - 1 for every
   edge on it (drop another of its edges); a path of length L shows p >= L
@@ -105,13 +108,7 @@ class WeightMap:
     c: dict[tuple[int, int], int]
     longest_path: int
     circumference: int
-    blocks: BlockDecomposition
-
-
-@dataclass
-class BlockDecomposition:
-    blocks: list[tuple[tuple[int, int], ...]]
-    articulation_points: int
+    blocks: list[int]  # vertex masks, from ``block_decomposition``
 
 
 def _check_cap(g: Graph, cap: int, what: str) -> None:
@@ -523,16 +520,19 @@ def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
         for x in iter_bits(mask):
             component[x] = mask
     block = {}
-    decomp = block_decomposition(g)
-    for edge_set, mask in zip(decomp.blocks, block_vertex_sets(decomp)):
-        if len(edge_set) > 1:  # a bridge lies on no cycle: c = 2
+    blocks = block_decomposition(g)
+    for mask in blocks:
+        size = mask.bit_count()
+        if size > 2:  # a bridge, a block of 2 vertices, lies on no cycle: c = 2
             hamiltonian_connected = _closure_is_complete(adj, mask)
-            for edge in edge_set:
-                block[edge] = mask
-                if hamiltonian_connected:
-                    # a Hamiltonian u-v path closes with uv into a Hamiltonian cycle
-                    c[edge] = mask.bit_count()
-                    p[edge] = c[edge] - 1
+            # the block's edges, each from its lower end
+            for x in iter_bits(mask):
+                for y in iter_bits(adj[x] & mask & ~((2 << x) - 1)):
+                    block[x, y] = mask
+                    if hamiltonian_connected:
+                        # a Hamiltonian u-v path closes with uv into a Hamiltonian cycle
+                        c[x, y] = size
+                        p[x, y] = size - 1
 
     tables = None  # built for the first search; blocks the closure settles need none
     for e in edges:
@@ -550,62 +550,56 @@ def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:
                 _expand(adj, p, c, path, False)
     longest_path = max(p.values(), default=0)
     circumference = max((length for length in c.values() if length >= 3), default=0)
-    return WeightMap(p, c, longest_path, circumference, decomp)
+    return WeightMap(p, c, longest_path, circumference, blocks)
 
 
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Biconnected components as edge sets, plus the articulation points.
+def block_decomposition(g: Graph) -> list[int]:
+    """Biconnected components (blocks) as vertex masks, in the order the DFS closes them.
 
-    Bridges appear as two-vertex blocks; isolated vertices yield no block.
+    One Hopcroft-Tarjan DFS over a vertex stack: when a child w of u has
+    low[w] >= disc[u], the vertices on the stack down to w, with u, form a
+    block. The edge to u's parent is not skipped: it lowers low[u] at most to
+    disc[parent], which leaves the parent's test as it was. Two blocks share
+    at most one vertex, so a block's edges are g's edges between its
+    vertices. Bridges appear as two-vertex blocks; isolated vertices yield
+    no block.
     """
-    n = g.n
-    disc = [-1] * n
-    low = [0] * n
-    stack: list[tuple[int, int]] = []
-    blocks: list[tuple[tuple[int, int], ...]] = []
-    art = 0
+    disc = [0] * g.n  # discovery times from 1; 0 is unvisited
+    low = [0] * g.n
+    stack: list[int] = []  # visited vertices in no closed block yet; a root is never pushed
+    blocks: list[int] = []
     counter = 0
 
-    def dfs(u: int, parent: int) -> None:
-        nonlocal counter, art
+    def dfs(u: int) -> None:
+        nonlocal counter
         counter += 1
         disc[u] = low[u] = counter
-        children = 0
         for w in iter_bits(g.adj[u]):
-            if disc[w] == -1:
-                children += 1
-                tree_edge = (min(u, w), max(u, w))
-                stack.append(tree_edge)
-                dfs(w, u)
+            if not disc[w]:
+                stack.append(w)
+                dfs(w)
                 low[u] = min(low[u], low[w])
                 if low[w] >= disc[u]:
-                    if parent != -1:
-                        art |= 1 << u
-                    block = []
+                    mask = 1 << u
                     while True:
-                        edge = stack.pop()
-                        block.append(edge)
-                        if edge == tree_edge:
+                        x = stack.pop()
+                        mask |= 1 << x
+                        if x == w:
                             break
-                    blocks.append(tuple(sorted(block)))
-            elif w != parent and disc[w] < disc[u]:
-                stack.append((min(u, w), max(u, w)))
+                    blocks.append(mask)
+            else:  # an ancestor, or a finished descendant, which lowers nothing
                 low[u] = min(low[u], disc[w])
-        if parent == -1 and children > 1:
-            art |= 1 << u
 
-    for root in range(n):
-        if disc[root] == -1:
-            dfs(root, -1)
-    return BlockDecomposition(blocks, art)
+    for root in range(g.n):
+        if not disc[root]:
+            dfs(root)
+    return blocks
 
 
-def block_vertex_sets(decomp: BlockDecomposition) -> list[int]:
-    out = []
-    for block in decomp.blocks:
-        mask = 0
-        for u, v in block:
-            mask |= (1 << u) | (1 << v)
-        out.append(mask)
-    return out
-
+def articulation_points(blocks: list[int]) -> int:
+    """The vertices that lie in two or more of ``blocks``, as a mask: the cut vertices."""
+    once = twice = 0
+    for mask in blocks:
+        twice |= once & mask
+        once |= mask
+    return twice

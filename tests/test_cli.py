@@ -107,6 +107,13 @@ class TestAnalyze:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_a_non_ascii_byte_in_a_file_names_its_position(self, capsys, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"\xffC\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: byte 0: invalid vertex-count character '\\udcff'\n"
+
     def test_bare_graph6_header_exits_2(self, capsys):
         code, _, err = run(capsys, "analyze", ">>graph6<<")
         assert code == EXIT_USAGE
@@ -170,6 +177,19 @@ class TestVerify:
         # K4, then K3, each at t = 2 and 3, with one row per default kind
         cells = [row.split(",") for row in rows]
         assert [(c[0], c[3]) for c in cells] == [(line, t) for line in ("C~", "Bw") for t in "23" for _ in range(4)]
+
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_a_non_ascii_byte_in_a_file_names_its_line(self, capsys, tmp_path, parallelism):
+        """A byte outside ASCII is a malformed line like any other, as on
+        stdin: its line and byte are named, and the rows before it are kept."""
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"C~\nBw\nCs\n\xffC\nC~\n")
+        csv = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "verify", str(path), "--t", "2:3", "--parallelism", parallelism, "--csv", str(csv))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: line 4: byte 0: invalid vertex-count character '\\udcff'\n"
+        _, *rows = csv.read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == [line for line in ("C~", "Bw", "Cs") for _ in range(2 * 4)]
 
     @pytest.mark.parametrize("parallelism", ["1", "2"])
     def test_a_failing_worker_names_its_graph(self, capsys, tmp_path, monkeypatch, parallelism):
@@ -501,42 +521,6 @@ class TestOracle:
         assert code == EXIT_USAGE
         assert "n <= 15, got n=16" in err
         assert out == ""
-
-
-def test_env_var_sets_default_parallelism(capsys, monkeypatch):
-    from concurrent.futures import ThreadPoolExecutor
-
-    import cliquebounds.search as search
-    from cliquebounds.cli import _default_parallelism
-
-    monkeypatch.setenv("CLIQUEBOUNDS_PARALLELISM", "6")
-    assert _default_parallelism() == 6
-    widths = []
-    monkeypatch.setattr(search, "ProcessPoolExecutor", lambda width: widths.append(width) or ThreadPoolExecutor(width))
-    assert run(capsys, "search", "--exhaustive", "3", "--t", "2")[0] == EXIT_OK
-    assert widths == [6]
-    monkeypatch.setenv("CLIQUEBOUNDS_PARALLELISM", "junk")
-    with pytest.raises(ValueError, match="CLIQUEBOUNDS_PARALLELISM must be an integer >= 1, got 'junk'"):
-        _default_parallelism()
-    monkeypatch.setenv("CLIQUEBOUNDS_PARALLELISM", "")  # empty reads as unset
-    assert _default_parallelism() == 1
-    monkeypatch.delenv("CLIQUEBOUNDS_PARALLELISM")
-    assert _default_parallelism() == 1
-
-
-@pytest.mark.parametrize("value", ["junk", "0", "-2", "1.5"])
-def test_malformed_parallelism_env_var_exits_2(capsys, monkeypatch, tmp_path, value):
-    monkeypatch.setenv("CLIQUEBOUNDS_PARALLELISM", value)
-    path = tmp_path / "k4.g6"
-    path.write_text("C~\n")
-    for argv in (("verify", str(path)), ("search", "--exhaustive", "3")):
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE
-        assert err == f"error: CLIQUEBOUNDS_PARALLELISM must be an integer >= 1, got {value!r}\n" and out == ""
-    # an explicit --parallelism leaves the variable unread, and analyze and enumerate never read it
-    assert run(capsys, "search", "--exhaustive", "3", "--parallelism", "1")[0] == EXIT_OK
-    assert run(capsys, "analyze", "C~")[0] == EXIT_OK
-    assert run(capsys, "enumerate", "3")[0] == EXIT_OK
 
 
 def test_each_call_runs_the_command_function_the_module_holds_then(capsys, monkeypatch):

@@ -37,7 +37,6 @@ from cliquebounds import (
 from cliquebounds.bounds import KIND_LOCAL_EDGE_CYCLE, KIND_LOCAL_EDGE_PATH, KIND_LOCAL_VERTEX, PER_ORDER_KINDS
 from cliquebounds.graph import iter_bits
 from cliquebounds.search import evaluate_graph
-from cliquebounds.weights import block_vertex_sets
 
 
 _canonical_form = functools.lru_cache(maxsize=256)(canonical_form)  # the orders of one graph share reduced graphs
@@ -61,7 +60,7 @@ def _failing_parts(g, cert, t):
         reduced, id_map = induced_subgraph(g, keep(g, t))
         return [sum(1 << id_map[v] for v in iter_bits(comp)) for comp in connected_components(reduced)]
     if cert.kind == "cycle":
-        return block_vertex_sets(block_decomposition(cert.reduced))
+        return block_decomposition(cert.reduced)
     return connected_components(cert.reduced)
 
 

@@ -20,7 +20,7 @@ from cliquebounds import (
 from cliquebounds.enumeration import random_gnp
 from cliquebounds.graph import GraphError, connected_components, induced_subgraph, parse_graph6, reachable_within
 from cliquebounds.oracles import dp_all_weights, reference_cycle_rules
-from cliquebounds.weights import _crossover, _expand, _longest_cycle, _longest_path, _rotation, block_vertex_sets
+from cliquebounds.weights import _crossover, _expand, _longest_cycle, _longest_path, _rotation, articulation_points
 
 
 def K(n):
@@ -234,7 +234,7 @@ def test_oracle_agreement_up_to_twelve_vertices():
     graphs = oracle_corpus()
     # the corpus has bridges, cut vertices, several components and isolated vertices
     assert any(2 in all_weights(g).c.values() for g in graphs)
-    assert any(block_decomposition(g).articulation_points for g in graphs)
+    assert any(articulation_points(block_decomposition(g)) for g in graphs)
     assert any(len(connected_components(g)) > 1 for g in graphs)
     assert any(0 in g.degrees() for g in graphs)
     for g in graphs:
@@ -246,31 +246,28 @@ def test_oracle_agreement_up_to_twelve_vertices():
 class TestBlocks:
     def test_two_triangles_sharing_a_vertex(self):
         bowtie = from_edge_list(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-        decomp = block_decomposition(bowtie)
-        assert len(decomp.blocks) == 2
-        assert decomp.articulation_points == 0b1
+        blocks = block_decomposition(bowtie)
+        assert blocks == [0b00111, 0b11001]
+        assert articulation_points(blocks) == 0b1
 
     def test_path_blocks_are_bridges(self):
-        decomp = block_decomposition(path(3))
-        assert sorted(decomp.blocks) == [((0, 1),), ((1, 2),)]
-        assert decomp.articulation_points == 0b010
+        blocks = block_decomposition(path(3))
+        assert blocks == [0b110, 0b011]  # closed deepest first
+        assert articulation_points(blocks) == 0b010
 
     def test_k4_single_block(self):
-        decomp = block_decomposition(K(4))
-        assert len(decomp.blocks) == 1
-        assert decomp.articulation_points == 0
+        blocks = block_decomposition(K(4))
+        assert blocks == [0b1111]
+        assert articulation_points(blocks) == 0
 
     def test_isolated_vertices_have_no_block(self):
-        assert block_decomposition(from_edge_list(3, [])).blocks == []
+        assert block_decomposition(from_edge_list(3, [])) == []
 
     def test_blocks_partition_edges(self, corpus6):
         for g in corpus6:
-            decomp = block_decomposition(g)
-            seen = []
-            for block in decomp.blocks:
-                seen.extend(block)
+            masks = block_decomposition(g)
+            seen = [e for mask in masks for e in g.edges() if mask >> e[0] & mask >> e[1] & 1]
             assert sorted(seen) == g.edges()
-            masks = block_vertex_sets(decomp)
             for i in range(len(masks)):
                 for j in range(i + 1, len(masks)):
                     assert (masks[i] & masks[j]).bit_count() <= 1
@@ -652,8 +649,7 @@ def reference_closure_is_complete(g, mask):
 
 def closure_blocks(g):
     """The vertex masks of g's blocks with at least 3 vertices."""
-    decomp = block_decomposition(g)
-    return [mask for edge_set, mask in zip(decomp.blocks, block_vertex_sets(decomp)) if len(edge_set) > 1]
+    return [mask for mask in block_decomposition(g) if mask.bit_count() > 2]
 
 
 def dense_gnp(ns, densities=(0.55, 0.7, 0.85), seeds=range(3)):
@@ -852,7 +848,7 @@ class TestLargeGraphs:
         g, order = relabelled(n, edges, k)
         w = all_weights(g, cap=n)
         assert w.p == {tuple(sorted((order[u], order[v]))): length for (u, v), length in p.items()}
-        assert set(w.c.values()) == {3} and len(w.blocks.blocks) == k
+        assert set(w.c.values()) == {3} and len(w.blocks) == k
 
 
 # sha256 of repr((sorted(p.items()), sorted(c.items()))) of all_weights, recorded
