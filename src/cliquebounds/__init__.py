@@ -52,7 +52,6 @@ from .enumeration import (
     enumerate_graphs,
     enumerate_levels,
     random_gnp,
-    random_graph,
     random_regular,
 )
 from .graph import (

@@ -13,6 +13,7 @@ import contextlib
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Iterator
 
 from .bounds import (
@@ -29,10 +30,12 @@ from .bounds import (
     wood_total_bound,
 )
 from .certificates import VERDICT_EXEMPT, is_block_forest
-from .cliques import count_all_cliques, count_cliques
-from .enumeration import enumerate_graphs
-from .graph import Graph, GraphError, iter_bits, parse_edge_list_text, parse_graph6, write_graph6
-from .oracles import NAIVE_CLIQUE_CAP, dp_all_weights, naive_count_all_cliques, naive_count_cliques
+from .cliques import clique_census, count_cliques
+from .enumeration import check_gnp, check_regular, enumerate_graphs, random_gnp, random_regular
+from .graph import (
+    Graph, GraphError, check_graph6_order, iter_bits, parse_edge_list_text, parse_graph6, write_graph6,
+)
+from .oracles import NAIVE_CLIQUE_CAP, dp_all_weights, naive_count_cliques
 from .search import (
     CATEGORIES,
     CATEGORY_BOUND_VIOLATION,
@@ -309,28 +312,22 @@ def _file_lines(path: str) -> Iterator[str]:
 
 
 def cmd_verify(args) -> int:
-    # streamed: the sweep reads one line at a time
     lines = sys.stdin if args.input == "-" else _file_lines(args.input)
-    return _sweep(args, GraphSource(kind="graph6_lines", lines=lines))
+    return _sweep(args, GraphSource.graph6_lines(lines))
 
 
 def cmd_search(args) -> int:
+    filters = {"connected_only": args.connected_only, "max_edges": args.max_edges}
     if args.random:
-        params = {}
+        # the model's arguments are checked before any draw, so at --count 0 too
         if args.random == "gnp":
-            params["p"] = args.p
+            check_gnp(args.n, args.p)
+            sample = partial(random_gnp, args.n, args.p)
         else:
-            params["d"] = args.d
-        source = GraphSource(
-            kind="random",
-            model=args.random,
-            n=args.n,
-            count=args.count,
-            seed=args.seed,
-            params=params,
-            connected_only=args.connected_only,
-            max_edges=args.max_edges,
-        )
+            check_regular(args.n, args.d)
+            sample = partial(random_regular, args.n, args.d)
+        check_graph6_order(args.n)  # every witness is a graph6 line
+        source = GraphSource.random(sample, args.count, args.seed, **filters)
     else:
         try:
             ns = tuple(int(x) for x in args.exhaustive.split(","))
@@ -338,9 +335,7 @@ def cmd_search(args) -> int:
             raise ValueError(
                 f"--exhaustive expects comma-separated vertex counts, got {args.exhaustive!r}"
             ) from None
-        source = GraphSource(
-            kind="exhaustive", ns=ns, connected_only=args.connected_only, max_edges=args.max_edges
-        )
+        source = GraphSource.exhaustive(ns, **filters)
     return _sweep(args, source, stop_on_first=args.stop_on_first, emit_min_slack=args.min_slack)
 
 
@@ -356,19 +351,17 @@ def cmd_oracle(args) -> int:
     if args.mode == "cliques":
         if g.n > NAIVE_CLIQUE_CAP:
             raise CapExceededError(f"clique oracle supports n <= {NAIVE_CLIQUE_CAP}, got n={g.n}")
-        print(f"{'t':>3} {'fast':>8} {'oracle':>8}")
+        # the census is the counter every analyze and sweep reads; its sum is count_all_cliques
+        census = clique_census(g)
+        print(f"{'t':>3} {'fast':>8} {'census':>8} {'oracle':>8}")
         for t in range(1, g.n + 1):
             fast = count_cliques(g, t)
             slow = naive_count_cliques(g, t)
-            ok = fast.total == slow.total and fast.per_vertex == slow.per_vertex and fast.per_edge == slow.per_edge
+            ok = (fast.total == census[t] == slow.total and fast.per_vertex == slow.per_vertex
+                  and fast.per_edge == slow.per_edge)
             if not ok:
                 mismatches += 1
-            print(f"{t:>3} {fast.total:>8} {slow.total:>8} {'' if ok else ' MISMATCH'}")
-        fast_all = count_all_cliques(g)
-        slow_all = naive_count_all_cliques(g)
-        if fast_all != slow_all:
-            mismatches += 1
-        print(f"all {fast_all:>8} {slow_all:>8}{'' if fast_all == slow_all else ' MISMATCH'}")
+            print(f"{t:>3} {fast.total:>8} {census[t]:>8} {slow.total:>8} {'' if ok else ' MISMATCH'}")
     else:
         dp = dp_all_weights(g)  # one subset-DP table set for every edge; it enforces the oracle's cap
         print(f"{'edge':>7} {'p fast':>7} {'p dp':>7} {'c fast':>7} {'c dp':>7}")

@@ -207,11 +207,16 @@ def enumerate_levels(ns: Iterable[int]) -> Iterator[list[Graph]]:
         yield levels[n]
 
 
-def random_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n, p), reproducible for a fixed seed."""
+def check_gnp(n: int, p: float) -> None:
+    """Reject the arguments ``random_gnp`` cannot draw from."""
     check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be in [0, 1], got {p}")
+
+
+def random_gnp(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi G(n, p), reproducible for a fixed seed."""
+    check_gnp(n, p)
     rng = random.Random(seed)
     rows = [0] * n
     for u in range(n):
@@ -223,13 +228,18 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph._raw(n, tuple(rows), m)
 
 
-def random_regular(n: int, d: int, seed: int, max_tries: int = 10000) -> Graph:
-    """Random d-regular graph via the pairing model, retried until simple."""
+def check_regular(n: int, d: int) -> None:
+    """Reject the arguments ``random_regular`` cannot draw from."""
     check_vertex_count(n)
     if d < 0 or d >= n:
         raise ValueError(f"degree {d} infeasible for n={n}")
     if (n * d) % 2:
         raise ValueError(f"degree sequence infeasible: n*d = {n * d} is odd")
+
+
+def random_regular(n: int, d: int, seed: int, max_tries: int = 10000) -> Graph:
+    """Random d-regular graph via the pairing model, retried until simple."""
+    check_regular(n, d)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(max_tries):
@@ -246,12 +256,3 @@ def random_regular(n: int, d: int, seed: int, max_tries: int = 10000) -> Graph:
         if ok:
             return Graph._raw(n, tuple(rows), n * d // 2)
     raise ValueError(f"failed to sample a simple {d}-regular graph on {n} vertices")
-
-
-def random_graph(model: str, n: int, params: dict, seed: int) -> Graph:
-    """Dispatch for the supported random models: ``gnp`` and ``regular``."""
-    if model == "gnp":
-        return random_gnp(n, float(params["p"]), seed)
-    if model == "regular":
-        return random_regular(n, int(params["d"]), seed)
-    raise ValueError(f"unknown random model {model!r} (expected 'gnp' or 'regular')")

@@ -160,10 +160,14 @@ def _graph6_bits(g: Graph) -> list[int]:
     return bits
 
 
+def check_graph6_order(n: int) -> None:
+    if n > GRAPH6_MAX:
+        raise GraphError(f"graph6 short form supports n <= {GRAPH6_MAX}, got {n}")
+
+
 def write_graph6(g: Graph) -> str:
     """Encode in graph6 short form (n <= 62)."""
-    if g.n > GRAPH6_MAX:
-        raise GraphError(f"graph6 short form supports n <= {GRAPH6_MAX}, got {g.n}")
+    check_graph6_order(g.n)
     out = [chr(g.n + 63)]
     bits = _graph6_bits(g)
     while len(bits) % 6:

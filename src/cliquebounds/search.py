@@ -19,8 +19,8 @@ finding reads only a certificate's outcome, and a vertex discrepancy its
 core's graph6. Nor does it build a slack: a finding reads its report's slack
 as integer terms.
 
-Workers see one graph at a time (parsed once by the source, with its graph6
-line, which doubles as the witness string) and return its findings.
+Workers see one graph at a time (built or parsed once by a ``GraphSource``
+with its graph6 line, the witness string) and return its findings.
 ``run_sweep`` has one loop that merges the workers' records in stream order,
 mapped in process at parallelism 1 and through a process pool otherwise, so
 the output is identical for any parallelism width; it hands each evaluation
@@ -35,7 +35,7 @@ import csv
 import json
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from json.encoder import encode_basestring_ascii
@@ -60,7 +60,7 @@ from .certificates import (
     cross_validate,
 )
 from .cliques import clique_census
-from .enumeration import enumerate_levels, random_graph
+from .enumeration import enumerate_levels
 from .graph import Graph, GraphError, connected_components, parse_graph6, write_graph6
 from .weights import DEFAULT_EXACT_CAP, CapExceededError, WeightMap, all_weights
 
@@ -76,6 +76,10 @@ CATEGORIES = (CATEGORY_BOUND_VIOLATION, CATEGORY_CONJECTURE_VIOLATION, CATEGORY_
 KIND_DOMINANCE_VERTEX = "dominance_vertex"
 KIND_DOMINANCE_EDGE = "dominance_edge"
 DOMINANCE_KINDS = (KIND_DOMINANCE_VERTEX, KIND_DOMINANCE_EDGE)
+
+# The widest pool a sweep starts; the pool forks every worker at once. A
+# constant, not the host's processor count, so that no outcome depends on the host.
+MAX_PARALLELISM = 64
 
 
 @dataclass(frozen=True)
@@ -94,8 +98,8 @@ class SearchConfig:
             raise ValueError(f"t_min must be >= 1, got {self.t_min}")
         if self.t_max is not None and self.t_max < self.t_min:
             raise ValueError(f"t_max must be >= t_min = {self.t_min}, got {self.t_max}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
+        if not 1 <= self.parallelism <= MAX_PARALLELISM:
+            raise ValueError(f"--parallelism must be in 1..{MAX_PARALLELISM}, got {self.parallelism}")
         if self.equality_cap < 0:
             raise ValueError(f"equality cap must be >= 0, got {self.equality_cap}")
         if self.weight_cap < 0:
@@ -107,41 +111,29 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class GraphSource:
-    """A stream of graphs: exhaustive small-n, graph6 lines, or a random model."""
+    """A stream of (graph6, graph) pairs, which ``pairs`` starts afresh on each
+    call, and the two filters ``graphs`` applies to it."""
 
-    kind: str  # "exhaustive" | "graph6_lines" | "random"
-    ns: tuple[int, ...] = ()
-    lines: Iterable[str] = ()  # graph6 lines, read once, one at a time
-    model: str = "gnp"
-    n: int = 0
-    count: int = 0
-    seed: int = 0
-    params: dict = field(default_factory=dict)
+    pairs: Callable[[], Iterator[tuple[str, Graph]]]
     connected_only: bool = False
     max_edges: int | None = None
 
     def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
         if self.max_edges is not None and self.max_edges < 0:
             raise ValueError(f"max edges must be >= 0, got {self.max_edges}")
 
-    def _accept(self, g: Graph) -> bool:
-        if self.max_edges is not None and g.m > self.max_edges:
-            return False
-        if self.connected_only and len(connected_components(g)) != 1:
-            return False
-        return True
+    @classmethod
+    def exhaustive(cls, ns: Iterable[int], **filters) -> "GraphSource":
+        """Every isomorphism class on n vertices, for each n in ``ns`` in turn."""
+        ns = tuple(ns)
+        return cls(lambda: ((write_graph6(g), g) for level in enumerate_levels(ns) for g in level), **filters)
 
-    def graphs(self) -> Iterator[tuple[str, Graph]]:
-        """Yield (graph6, graph) pairs, already validated and filtered."""
-        if self.kind == "exhaustive":
-            for level in enumerate_levels(self.ns):
-                for g in level:
-                    if self._accept(g):
-                        yield write_graph6(g), g
-        elif self.kind == "graph6_lines":
-            for lineno, raw in enumerate(self.lines, start=1):
+    @classmethod
+    def graph6_lines(cls, lines: Iterable[str], **filters) -> "GraphSource":
+        """Parse graph6 lines as they are read; a witness drops a ``>>graph6<<`` prefix."""
+
+        def pairs() -> Iterator[tuple[str, Graph]]:
+            for lineno, raw in enumerate(lines, start=1):
                 line = raw.strip()
                 if not line:
                     continue
@@ -149,15 +141,25 @@ class GraphSource:
                     g = parse_graph6(line)
                 except GraphError as exc:
                     raise GraphError(f"line {lineno}: {exc}") from None
-                if self._accept(g):
-                    yield line.removeprefix(">>graph6<<"), g
-        elif self.kind == "random":
-            for i in range(self.count):
-                g = random_graph(self.model, self.n, self.params, self.seed + i)
-                if self._accept(g):
-                    yield write_graph6(g), g
-        else:
-            raise ValueError(f"unknown graph source kind {self.kind!r}")
+                yield line.removeprefix(">>graph6<<"), g
+
+        return cls(pairs, **filters)
+
+    @classmethod
+    def random(cls, sample: Callable[[int], Graph], count: int, seed: int, **filters) -> "GraphSource":
+        """``count`` graphs, ``sample(seed)``, ``sample(seed + 1)``, ..."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        return cls(lambda: ((write_graph6(g), g) for g in map(sample, range(seed, seed + count))), **filters)
+
+    def graphs(self) -> Iterator[tuple[str, Graph]]:
+        """Yield the pairs whose graph passes both filters."""
+        for line, g in self.pairs():
+            if self.max_edges is not None and g.m > self.max_edges:
+                continue
+            if self.connected_only and len(connected_components(g)) != 1:
+                continue
+            yield line, g
 
 
 class Finding(NamedTuple):

@@ -78,7 +78,7 @@ def analyzed(corpus):
 
 @pytest.fixture(scope="module")
 def sweep():
-    source = GraphSource(kind="exhaustive", ns=tuple(range(1, 8)))
+    source = GraphSource.exhaustive(tuple(range(1, 8)))
     config = SearchConfig(t_min=1, t_max=T_MAX, kinds=DEFAULT_SWEEP_KINDS)
     return run_sweep(source, config)
 
@@ -255,7 +255,7 @@ def test_criterion_8_enumeration_counts(corpus):
 
 
 def test_criterion_9_determinism(sweep, corpus):
-    source = GraphSource(kind="exhaustive", ns=tuple(range(1, 8)))
+    source = GraphSource.exhaustive(tuple(range(1, 8)))
     config = SearchConfig(t_min=1, t_max=T_MAX, kinds=DEFAULT_SWEEP_KINDS, parallelism=8)
     parallel = run_sweep(source, config)
     assert findings_to_jsonl(parallel.findings) == findings_to_jsonl(sweep.findings)

@@ -353,6 +353,30 @@ class TestSearch:
         else:  # a cap of 0 keeps every equality instance out of the findings
             assert all(f["category"] != "EQUALITY_INSTANCE" for f in json.loads(out)["findings"])
 
+    @pytest.mark.parametrize("width", ["64", "65", "20000"])
+    def test_parallelism_above_the_limit_exits_2_before_any_pool(self, capsys, monkeypatch, width):
+        import cliquebounds.search as search
+
+        class PoolStarted(Exception):
+            pass
+
+        widths = []
+
+        def no_pool(max_workers):  # records the width the sweep asks for, and starts no process
+            widths.append(max_workers)
+            raise PoolStarted
+
+        monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+        argv = ["search", "--exhaustive", "4", "--t", "3", "--parallelism", width]
+        if width == "64":
+            with pytest.raises(PoolStarted):
+                main(argv)
+            assert widths == [64]
+        else:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, widths) == (EXIT_USAGE, "", [])
+            assert err == f"error: --parallelism must be in 1..64, got {width}\n"
+
     @pytest.mark.parametrize("value", ["4,x", "4,,5", ""])
     def test_malformed_exhaustive_list_names_the_flag(self, capsys, value):
         code, out, err = run(capsys, "search", "--exhaustive", value)
@@ -365,14 +389,24 @@ class TestSearch:
         (("--random", "gnp", "--n", "6", "--max-edges", "-1"), "max edges must be >= 0, got -1"),
         (("--exhaustive", "4", "--max-edges", "-1"), "max edges must be >= 0, got -1"),
         (("--exhaustive", "4", "--weight-cap", "-1"), "weight cap must be >= 0, got -1"),
+        # a random model's arguments are checked even when no graph is drawn
+        (("--random", "gnp", "--n", "70", "--count", "0"), "vertex count 70 outside supported range 0..64"),
+        (("--random", "gnp", "--n", "-1", "--count", "0"), "vertex count -1 outside supported range 0..64"),
+        (("--random", "gnp", "--n", "63", "--count", "0"), "graph6 short form supports n <= 62, got 63"),
+        (("--random", "regular", "--n", "64", "--d", "2", "--count", "0"), "graph6 short form supports n <= 62, got 64"),
+        (("--random", "gnp", "--p", "1.5", "--count", "0"), "edge probability must be in [0, 1], got 1.5"),
+        (("--random", "regular", "--n", "6", "--d", "9", "--count", "0"), "degree 9 infeasible for n=6"),
+        (("--random", "regular", "--n", "5", "--d", "3", "--count", "0"), "n*d = 15 is odd"),
     ])
     def test_negative_sweep_numbers_exit_2_before_any_graph(self, capsys, monkeypatch, argv, named):
+        import cliquebounds.cli as cli
         import cliquebounds.search as search
 
         def no_graphs(*args, **kwargs):
             raise AssertionError("a graph was built")
 
-        monkeypatch.setattr(search, "random_graph", no_graphs)
+        monkeypatch.setattr(cli, "random_gnp", no_graphs)
+        monkeypatch.setattr(cli, "random_regular", no_graphs)
         monkeypatch.setattr(search, "enumerate_levels", no_graphs)
         code, out, err = run(capsys, "search", *argv)
         assert code == EXIT_USAGE
@@ -474,6 +508,28 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", "C~", "--mode", "cliques")
         assert code == EXIT_OK
         assert "fast and oracle agree" in out
+
+    def test_cliques_checks_the_census(self, capsys, monkeypatch):
+        import cliquebounds.cli as cli
+
+        census = cli.clique_census
+
+        def planted(g):  # K_2 + 1 and K_3 - 1 keep the sum over all orders
+            counts = census(g)
+            return {**counts, 2: counts[2] + 1, 3: counts[3] - 1}
+
+        monkeypatch.setattr(cli, "clique_census", planted)
+        code, out, err = run(capsys, "oracle", "C~", "--mode", "cliques")
+        assert code == EXIT_INTERNAL
+        rows = out.splitlines()
+        assert rows[1:5] == [
+            "  1        4        4        4 ",
+            "  2        6        7        6  MISMATCH",
+            "  3        4        3        4  MISMATCH",
+            "  4        1        1        1 ",
+        ]
+        assert len(rows) == 5
+        assert err == "2 mismatch(es): fast path disagrees with the oracle\n"
 
     def test_pweights_agree(self, capsys):
         code, out, _ = run(capsys, "oracle", "D~{", "--mode", "pweights")

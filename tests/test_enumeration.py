@@ -16,7 +16,6 @@ from cliquebounds import (
     enumerate_levels,
     from_edge_list,
     random_gnp,
-    random_graph,
     random_regular,
     write_graph6,
 )
@@ -261,9 +260,3 @@ class TestRandomModels:
     def test_probability_validation(self):
         with pytest.raises(ValueError):
             random_gnp(4, 1.5, 0)
-
-    def test_dispatch(self):
-        assert random_graph("gnp", 5, {"p": 1.0}, 0).m == 10
-        assert random_graph("regular", 6, {"d": 2}, 0).degrees() == (2,) * 6
-        with pytest.raises(ValueError, match="unknown random model"):
-            random_graph("smallworld", 5, {}, 0)

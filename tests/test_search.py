@@ -82,7 +82,7 @@ from cliquebounds.search import (
 
 @pytest.fixture(scope="module")
 def small_sweep():
-    source = GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5))
+    source = GraphSource.exhaustive((1, 2, 3, 4, 5))
     config = SearchConfig(t_min=1, t_max=5, kinds=DEFAULT_SWEEP_KINDS)
     return run_sweep(source, config)
 
@@ -151,7 +151,7 @@ def test_unknown_kind_is_rejected_not_skipped():
 
 @pytest.fixture(scope="module")
 def min_slack_sweep():
-    source = GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5))
+    source = GraphSource.exhaustive((1, 2, 3, 4, 5))
     config = SearchConfig(t_min=1, t_max=5, kinds=DEFAULT_SWEEP_KINDS, emit_min_slack=True)
     return run_sweep(source, config)
 
@@ -204,7 +204,7 @@ def test_replay_rejects_tampered_findings(min_slack_sweep, category):
 
 
 def test_parallel_determinism(small_sweep):
-    source = GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5))
+    source = GraphSource.exhaustive((1, 2, 3, 4, 5))
     config = SearchConfig(t_min=1, t_max=5, kinds=DEFAULT_SWEEP_KINDS, parallelism=4)
     parallel = run_sweep(source, config)
     assert findings_to_jsonl(parallel.findings) == findings_to_jsonl(small_sweep.findings)
@@ -212,7 +212,7 @@ def test_parallel_determinism(small_sweep):
 
 
 def test_equality_cap():
-    source = GraphSource(kind="exhaustive", ns=(5,))
+    source = GraphSource.exhaustive((5,))
     config = SearchConfig(t_min=2, t_max=2, kinds=(KIND_LOCAL_VERTEX,), equality_cap=3)
     result = run_sweep(source, config)
     eq = [f for f in result.findings if f.category == CATEGORY_EQUALITY_INSTANCE]
@@ -235,7 +235,7 @@ def test_summary_shape(small_sweep):
 
 
 def test_min_slack_emission():
-    source = GraphSource(kind="exhaustive", ns=(4,))
+    source = GraphSource.exhaustive((4,))
     config = SearchConfig(
         t_min=3, t_max=3, kinds=(KIND_LOCAL_VERTEX,), emit_min_slack=True
     )
@@ -250,7 +250,7 @@ def test_graph6_file_source(tmp_path):
     path = tmp_path / "graphs.g6"
     path.write_text(">>graph6<<C~\nBw\n\nBg\n")
     with path.open(encoding="ascii") as fh:
-        pairs = list(GraphSource(kind="graph6_lines", lines=fh).graphs())
+        pairs = list(GraphSource.graph6_lines(fh).graphs())
     assert [line for line, _ in pairs] == ["C~", "Bw", "Bg"]
     assert all(g == parse_graph6(line) for line, g in pairs)
 
@@ -259,25 +259,53 @@ def test_source_parse_error_names_line(tmp_path):
     path = tmp_path / "bad.g6"
     path.write_text("C~\nBw\nE??*\n")
     with path.open(encoding="ascii") as fh, pytest.raises(GraphError, match="line 3"):
-        list(GraphSource(kind="graph6_lines", lines=fh).graphs())
+        list(GraphSource.graph6_lines(fh).graphs())
 
 
 def test_source_filters():
-    source = GraphSource(kind="exhaustive", ns=(4,), connected_only=True)
-    pairs = list(source.graphs())
-    assert len(pairs) == 6  # connected graphs on 4 vertices
-    assert all(line == write_graph6(g) for line, g in pairs)
-    capped = GraphSource(kind="exhaustive", ns=(4,), max_edges=3)
-    assert all(g.m <= 3 for _, g in capped.graphs())
+    """Both filters act alike on every kind of source."""
+    lines = [write_graph6(g) for g in enumerate_graphs(4)]
+    makers = (
+        functools.partial(GraphSource.exhaustive, (4,)),
+        functools.partial(GraphSource.graph6_lines, lines),
+        functools.partial(GraphSource.random, functools.partial(random_gnp, 4, 0.5), 40, 3),
+    )
+    for make in makers:
+        everything = list(make().graphs())
+        assert all(line == write_graph6(g) for line, g in everything)
+        connected = [(line, g) for line, g in everything if len(connected_components(g)) == 1]
+        sparse = [(line, g) for line, g in everything if g.m <= 3]
+        assert [] != connected != everything and [] != sparse != everything
+        assert list(make(connected_only=True).graphs()) == connected
+        assert list(make(max_edges=3).graphs()) == sparse
+        both = list(make(connected_only=True, max_edges=3).graphs())
+        assert both == [pair for pair in connected if pair in sparse] != []
+    assert len(list(GraphSource.exhaustive((4,), connected_only=True).graphs())) == 6  # connected classes
 
 
 def test_random_source_reproducible():
-    src = GraphSource(kind="random", model="gnp", n=6, count=5, seed=11, params={"p": 0.5})
-    assert list(src.graphs()) == list(src.graphs())
+    """Draw i is made at seed + i, and each ``graphs()`` draws the stream afresh."""
+    seeds = []
+
+    def sample(seed):
+        seeds.append(seed)
+        return random_gnp(6, 0.5, seed)
+
+    source = GraphSource.random(sample, 5, 11)
+    pairs = list(source.graphs())
+    assert seeds == [11, 12, 13, 14, 15]
+    assert pairs == [(write_graph6(random_gnp(6, 0.5, s)), random_gnp(6, 0.5, s)) for s in seeds]
+    assert list(source.graphs()) == pairs and seeds[5:] == seeds[:5]
+
+
+def test_exhaustive_source_restarts():
+    source = GraphSource.exhaustive((3, 4))
+    first = list(source.graphs())
+    assert len(first) == 4 + 11 and list(source.graphs()) == first
 
 
 def test_stop_on_first_flag_does_not_change_clean_runs(small_sweep):
-    source = GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5))
+    source = GraphSource.exhaustive((1, 2, 3, 4, 5))
     config = SearchConfig(t_min=1, t_max=5, kinds=DEFAULT_SWEEP_KINDS, stop_on_first=True)
     result = run_sweep(source, config)
     assert findings_to_jsonl(result.findings) == findings_to_jsonl(small_sweep.findings)
@@ -315,7 +343,7 @@ def test_stop_on_first_stops_after_the_first_violating_graph(monkeypatch, broken
     else:
         lower_the_cycle_bound(monkeypatch)
         category = CATEGORY_CONJECTURE_VIOLATION
-    source = GraphSource(kind="graph6_lines", lines=("Bg", "C~", "Bw", "C~"))
+    source = GraphSource.graph6_lines(("Bg", "C~", "Bw", "C~"))
     for stop, graphs in ((False, 4), (True, 2)):
         result = run_sweep(source, SearchConfig(t_min=3, t_max=3, stop_on_first=stop))
         assert result.summary["graphs"] == graphs
@@ -328,7 +356,7 @@ def test_a_malformed_line_is_raised_after_the_records_before_it(monkeypatch, par
     its GraphError is raised, also where a pool reads the whole source first;
     a stop at a violation before that line raises nothing."""
     lower_the_cycle_bound(monkeypatch)
-    source = GraphSource(kind="graph6_lines", lines=("Bg", "C~", "E??*", "Bw"))
+    source = GraphSource.graph6_lines(("Bg", "C~", "E??*", "Bw"))
     rows = []
     with pytest.raises(GraphError, match="line 3"):
         run_sweep(source, SearchConfig(t_min=3, t_max=3, parallelism=parallelism), rows.append)
@@ -383,7 +411,7 @@ def test_a_stop_at_a_violation_cancels_the_chunks_not_started(monkeypatch):
 
     monkeypatch.setattr(search, "sweep_worker", counted_worker)
     monkeypatch.setattr(search, "ProcessPoolExecutor", lambda width: pools.append(ChunkedThreadPool(width)) or pools[-1])
-    source = GraphSource(kind="graph6_lines", lines=["C~"] + ["Bw"] * 400)
+    source = GraphSource.graph6_lines(["C~"] + ["Bw"] * 400)
     result = run_sweep(source, SearchConfig(t_min=3, t_max=3, parallelism=2, stop_on_first=True))
     assert result.summary["graphs"] == 1
     assert [f.graph6 for f in result.findings if f.category == CATEGORY_CONJECTURE_VIOLATION] == ["C~"]
@@ -396,7 +424,7 @@ def test_a_stop_at_a_violation_cancels_the_chunks_not_started(monkeypatch):
 def test_rows_csv_columns():
     kinds = _parse_kinds("all")
     buf = io.StringIO()
-    run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5)), SearchConfig(t_min=1, t_max=5, kinds=kinds),
+    run_sweep(GraphSource.exhaustive((1, 2, 3, 4, 5)), SearchConfig(t_min=1, t_max=5, kinds=kinds),
               csv_rows(buf))
     text = buf.getvalue()
     assert text.splitlines()[0].split(",") == CSV_COLUMNS
@@ -428,7 +456,7 @@ def test_finding_round_trips_through_json(small_sweep):
 
 def test_cap_errors_are_counted_not_skipped():
     line = write_graph6(from_edge_list(8, [(i, i + 1) for i in range(7)]))
-    source = GraphSource(kind="graph6_lines", lines=(line, "C~"))
+    source = GraphSource.graph6_lines((line, "C~"))
     config = SearchConfig(t_min=2, t_max=3, kinds=(KIND_LOCAL_EDGE_CYCLE,), weight_cap=7)
     result = run_sweep(source, config)
     assert len(result.summary["cap_errors"]) == 1
@@ -445,7 +473,7 @@ def test_dominance_violation_is_reported_and_replays(monkeypatch):
     monkeypatch.setattr(
         search, "compare_local_vs_classical", lambda g, w, t, bounds: replace(real(g, w, t, bounds), vertex_ok=False)
     )
-    result = run_sweep(GraphSource(kind="graph6_lines", lines=("C~",)), SearchConfig(t_min=3, t_max=3))
+    result = run_sweep(GraphSource.graph6_lines(("C~",)), SearchConfig(t_min=3, t_max=3))
     dom = [f for f in result.findings if f.kind == "dominance_vertex"]
     assert len(dom) == 1 and dom[0].category == CATEGORY_BOUND_VIOLATION
     assert replay_finding(dom[0])
@@ -542,7 +570,7 @@ def test_an_edge_only_sweep_evaluates_nothing_of_the_vertex_side(monkeypatch):
                          (search, "cross_validate")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    source = GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5, 6))
+    source = GraphSource.exhaustive((1, 2, 3, 4, 5, 6))
     result = run_sweep(source, SearchConfig(t_min=2, t_max=6, kinds=(KIND_LOCAL_EDGE_PATH,)))
     assert result.summary["graphs"] == 208 and result.findings
     assert calls == []
@@ -558,7 +586,7 @@ def test_a_sweep_renders_no_certificate(monkeypatch):
         raise AssertionError("a sweep rendered a certificate")
 
     monkeypatch.setattr(certificates.EqualityCertificate, "to_json_dict", render)
-    result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4)),
+    result = run_sweep(GraphSource.exhaustive((1, 2, 3, 4)),
                        SearchConfig(t_min=1, t_max=4, kinds=PER_ORDER_KINDS))
     assert any(f.category == CATEGORY_CHAR_DISCREPANCY and f.kind == KIND_LOCAL_VERTEX for f in result.findings)
 
@@ -573,7 +601,7 @@ def test_a_sweep_builds_no_slack(monkeypatch):
     monkeypatch.setattr(BoundReport, "slack", property(build))
     monkeypatch.setattr(DominanceRecord, "vertex_slack", property(build))
     monkeypatch.setattr(DominanceRecord, "edge_slack", property(build))
-    result = run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5)),
+    result = run_sweep(GraphSource.exhaustive((1, 2, 3, 4, 5)),
                        SearchConfig(t_min=1, t_max=5, kinds=PER_ORDER_KINDS, emit_min_slack=True))
     assert any(f.category == CATEGORY_CHAR_DISCREPANCY and f.kind == KIND_LOCAL_VERTEX for f in result.findings)
     assert any(f.category == CATEGORY_MIN_SLACK for f in result.findings)
@@ -604,7 +632,7 @@ def test_each_verdict_is_decided_once_per_graph_and_order(monkeypatch):
         monkeypatch.setattr(module, "conjecture_verdict", verdict)
         monkeypatch.setattr(module, "cross_validate", cross)
     rows = []
-    run_sweep(GraphSource(kind="exhaustive", ns=(1, 2, 3, 4, 5, 6)), SearchConfig(), rows.append)
+    run_sweep(GraphSource.exhaustive((1, 2, 3, 4, 5, 6)), SearchConfig(), rows.append)
     evaluated = Counter(f.kind for f in rows)
     assert evaluated[KIND_LOCAL_EDGE_PATH] > 0 and evaluated[KIND_LOCAL_EDGE_CYCLE] > 0
     assert verdicts == {kind: evaluated[kind] for kind in VERDICT_KINDS}
@@ -619,7 +647,7 @@ def test_edge_and_cycle_discrepancies_come_from_one_rule(monkeypatch):
         real = getattr(certificates, name)
         monkeypatch.setattr(certificates, name, lambda *args, real=real: replace(real(*args), holds=False))
     for kinds in ((KIND_LOCAL_EDGE_CYCLE, KIND_LOCAL_EDGE_PATH), (KIND_LOCAL_EDGE_PATH, KIND_LOCAL_EDGE_CYCLE)):
-        result = run_sweep(GraphSource(kind="graph6_lines", lines=("C~",)), SearchConfig(t_min=2, t_max=3, kinds=kinds))
+        result = run_sweep(GraphSource.graph6_lines(("C~",)), SearchConfig(t_min=2, t_max=3, kinds=kinds))
         found = [(f.t, f.kind, f.detail) for f in result.findings if f.category == CATEGORY_CHAR_DISCREPANCY]
         assert found == [  # exempt at t = 2, then edge before cycle whatever the request order
             (3, KIND_LOCAL_EDGE_PATH, "equality True vs certificate False"),
