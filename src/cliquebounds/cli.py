@@ -320,13 +320,13 @@ def cmd_search(args) -> int:
     filters = {"connected_only": args.connected_only, "max_edges": args.max_edges}
     if args.random:
         # the model's arguments are checked before any draw, so at --count 0 too
+        check_graph6_order(args.n)  # every witness is a graph6 line
         if args.random == "gnp":
             check_gnp(args.n, args.p)
             sample = partial(random_gnp, args.n, args.p)
         else:
             check_regular(args.n, args.d)
             sample = partial(random_regular, args.n, args.d)
-        check_graph6_order(args.n)  # every witness is a graph6 line
         source = GraphSource.random(sample, args.count, args.seed, **filters)
     else:
         try:

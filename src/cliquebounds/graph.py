@@ -161,8 +161,8 @@ def _graph6_bits(g: Graph) -> list[int]:
 
 
 def check_graph6_order(n: int) -> None:
-    if n > GRAPH6_MAX:
-        raise GraphError(f"graph6 short form supports n <= {GRAPH6_MAX}, got {n}")
+    if not 0 <= n <= GRAPH6_MAX:
+        raise GraphError(f"graph6 short form supports n in 0..{GRAPH6_MAX}, got {n}")
 
 
 def write_graph6(g: Graph) -> str:

@@ -160,7 +160,7 @@ def dp_all_weights(g: Graph) -> WeightMap:
 def reference_cycle_rules(adj: list[int], p: Bounds, c: Bounds, cycle: list[int], queue: list[list[int]]) -> None:
     """Oracle ``weights._cycle_rules``: the same raises of p and c, and the same
     crossovers queued in the same order, with each chord's neighbours on the
-    cycle looked up in maps and each orientation taken from a tuple."""
+    cycle looked up in maps and each crossover's indices found by search."""
     length = len(cycle)
     mask = 0
     for x in cycle:
@@ -168,25 +168,24 @@ def reference_cycle_rules(adj: list[int], p: Bounds, c: Bounds, cycle: list[int]
     ring = cycle + cycle[:1]
     succ = dict(zip(cycle, ring[1:]))
     pred = dict(zip(ring[1:], cycle))
-    reverse = cycle[::-1]
     for x in cycle:
-        sx, px = succ[x], pred[x]
+        sx = succ[x]
         # each chord once, from its lower end
-        chords = adj[x] & mask & ~((1 << sx) | (1 << px)) & ~((1 << x) - 1)
+        chords = adj[x] & mask & ~((1 << sx) | (1 << pred[x])) & ~((1 << x) - 1)
         while chords:
             low = chords & -chords
             chords ^= low
             y = low.bit_length() - 1
             if p[x, y] < length - 1:
                 p[x, y] = length - 1
-            for order, a, b in ((cycle, sx, succ[y]), (reverse, px, pred[y])):
-                if not adj[a] >> b & 1:
-                    continue
-                key = (a, b) if a < b else (b, a)
-                if c[x, y] < length or c[key] < length:
-                    c[x, y] = max(c[x, y], length)
-                    c[key] = max(c[key], length)
-                    queue.append(_crossover(order, order.index(x), order.index(y)))
+            sy = succ[y]
+            if not adj[sx] >> sy & 1:
+                continue
+            key = (sx, sy) if sx < sy else (sy, sx)
+            if c[x, y] < length or c[key] < length:
+                c[x, y] = max(c[x, y], length)
+                c[key] = max(c[key], length)
+                queue.append(_crossover(cycle, cycle.index(x), cycle.index(y)))
 
 
 def product_canonical_graph(g: Graph) -> Graph:

@@ -112,9 +112,11 @@ class SearchConfig:
 @dataclass(frozen=True)
 class GraphSource:
     """A stream of (graph6, graph) pairs, which ``pairs`` starts afresh on each
-    call, and the two filters ``graphs`` applies to it."""
+    call, and the two filters ``graphs`` applies to it. A built graph comes
+    with ``None`` for its graph6, which ``graphs`` writes only once the graph
+    has passed both filters."""
 
-    pairs: Callable[[], Iterator[tuple[str, Graph]]]
+    pairs: Callable[[], Iterator[tuple[str | None, Graph]]]
     connected_only: bool = False
     max_edges: int | None = None
 
@@ -124,9 +126,12 @@ class GraphSource:
 
     @classmethod
     def exhaustive(cls, ns: Iterable[int], **filters) -> "GraphSource":
-        """Every isomorphism class on n vertices, for each n in ``ns`` in turn."""
+        """Every isomorphism class on n vertices, for each n in ``ns`` in turn;
+        an n given twice is rejected, as its classes would be swept twice."""
         ns = tuple(ns)
-        return cls(lambda: ((write_graph6(g), g) for level in enumerate_levels(ns) for g in level), **filters)
+        if len(set(ns)) < len(ns):
+            raise ValueError(f"exhaustive vertex counts must be distinct, got {','.join(map(str, ns))}")
+        return cls(lambda: ((None, g) for level in enumerate_levels(ns) for g in level), **filters)
 
     @classmethod
     def graph6_lines(cls, lines: Iterable[str], **filters) -> "GraphSource":
@@ -150,16 +155,16 @@ class GraphSource:
         """``count`` graphs, ``sample(seed)``, ``sample(seed + 1)``, ..."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        return cls(lambda: ((write_graph6(g), g) for g in map(sample, range(seed, seed + count))), **filters)
+        return cls(lambda: ((None, g) for g in map(sample, range(seed, seed + count))), **filters)
 
     def graphs(self) -> Iterator[tuple[str, Graph]]:
-        """Yield the pairs whose graph passes both filters."""
+        """Yield the pairs whose graph passes both filters, each with its graph6."""
         for line, g in self.pairs():
             if self.max_edges is not None and g.m > self.max_edges:
                 continue
             if self.connected_only and len(connected_components(g)) != 1:
                 continue
-            yield line, g
+            yield write_graph6(g) if line is None else line, g
 
 
 class Finding(NamedTuple):

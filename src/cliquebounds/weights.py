@@ -415,29 +415,29 @@ def _expand(adj: Sequence[int], p: Bounds, c: Bounds, witness: list[int], closed
 
 def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], queue: list[list[int]]) -> None:
     """The chord and crossover rules on ``cycle``, of length L, at positions
-    taken mod L: each chord c_i c_j gets p >= L - 1, and each crossing edge,
-    forward c_{i+1} c_{j+1} or backward c_{i-1} c_{j-1}, gets c >= L with the
-    chord; a crossover that raised either is queued, forward first."""
+    taken mod L: each chord c_i c_j gets p >= L - 1, and when c_{i+1} c_{j+1}
+    is an edge, both get c >= L and a crossover that raised either is
+    queued. The other orientation adds nothing: its crossing edge
+    c_{i-1} c_{j-1} is itself a chord, whose crossing edge c_i c_j gives the
+    same crossover cycle."""
     length = len(cycle)
-    last = length - 1
     mask = 0
     position = {}
     for i, x in enumerate(cycle):
         mask |= 1 << x
         position[x] = i
     ring = cycle + cycle[:1]
-    reverse = cycle[::-1]
     for i, x in enumerate(cycle):
-        sx, px = ring[i + 1], cycle[i - 1]
+        sx = ring[i + 1]
         # each chord once, from its lower end
-        chords = adj[x] & mask & ~((1 << sx) | (1 << px)) & ~((1 << x) - 1)
+        chords = adj[x] & mask & ~((1 << sx) | (1 << cycle[i - 1])) & ~((1 << x) - 1)
         while chords:
             low = chords & -chords
             chords ^= low
             y = low.bit_length() - 1
             xy = (x, y)
-            if p[xy] < last:
-                p[xy] = last
+            if p[xy] < length - 1:
+                p[xy] = length - 1
             j = position[y]
             sy = ring[j + 1]
             if adj[sx] >> sy & 1:
@@ -446,13 +446,6 @@ def _cycle_rules(adj: Sequence[int], p: Bounds, c: Bounds, cycle: list[int], que
                     c[xy] = max(c[xy], length)
                     c[key] = max(c[key], length)
                     queue.append(_crossover(cycle, i, j))
-            py = cycle[j - 1]
-            if adj[px] >> py & 1:
-                key = (px, py) if px < py else (py, px)
-                if c[xy] < length or c[key] < length:
-                    c[xy] = max(c[xy], length)
-                    c[key] = max(c[key], length)
-                    queue.append(_crossover(reverse, last - i, last - j))
 
 
 def _path_rules(adj: Sequence[int], p: Bounds, c: Bounds, path: list[int], queue: list[list[int]]) -> None:
@@ -478,32 +471,23 @@ def _closure_is_complete(adj: Sequence[int], mask: int) -> bool:
 
     The closure joins two non-adjacent vertices whose degrees, counted in
     the graph built so far, sum to at least k + 1, until no such pair is
-    left. When it ends complete, the induced graph is Hamiltonian-connected
-    (Bondy and Chvatal, 1976).
+    left; it is the same whatever order the joins are made in. When it ends
+    complete, the induced graph is Hamiltonian-connected (Bondy and Chvatal,
+    1976).
     """
     k = mask.bit_count()
     rows = {x: adj[x] & mask for x in iter_bits(mask)}
-    degree = {x: row.bit_count() for x, row in rows.items()}
-    while True:
-        # A vertex with a non-neighbour has degree below k - 1, and so has
-        # that non-neighbour: only such vertices can be joined.
-        short = sorted(degree[x] for x in rows if degree[x] < k - 1)
-        if not short:
-            return True
-        if short[-1] + short[-2] <= k:  # degrees only grow, so no pair ever qualifies
-            return False
+    joined = True
+    while joined:
         joined = False
-        for x, row in rows.items():
+        for x in rows:
             # each non-adjacent pair once per pass, from its lower end
-            for y in iter_bits(mask & ~row & ~((2 << x) - 1)):
-                if degree[x] + degree[y] > k:
+            for y in iter_bits(mask & ~rows[x] & ~((2 << x) - 1)):
+                if rows[x].bit_count() + rows[y].bit_count() > k:
                     rows[x] |= 1 << y
                     rows[y] |= 1 << x
-                    degree[x] += 1
-                    degree[y] += 1
                     joined = True
-        if not joined:
-            return False
+    return all(row | 1 << x == mask for x, row in rows.items())
 
 
 def all_weights(g: Graph, cap: int = DEFAULT_EXACT_CAP) -> WeightMap:

@@ -329,7 +329,7 @@ class TestSearch:
     def test_random_vertex_count_out_of_range_exits_2(self, capsys, model, n):
         code, _, err = run(capsys, "search", "--random", model, "--n", n, "--count", "1")
         assert code == EXIT_USAGE
-        assert f"vertex count {n} outside supported range" in err
+        assert f"graph6 short form supports n in 0..62, got {n}" in err
 
     @pytest.mark.parametrize("flag, value, code", [
         ("--equality-cap", "-1", EXIT_USAGE),
@@ -389,14 +389,19 @@ class TestSearch:
         (("--random", "gnp", "--n", "6", "--max-edges", "-1"), "max edges must be >= 0, got -1"),
         (("--exhaustive", "4", "--max-edges", "-1"), "max edges must be >= 0, got -1"),
         (("--exhaustive", "4", "--weight-cap", "-1"), "weight cap must be >= 0, got -1"),
-        # a random model's arguments are checked even when no graph is drawn
-        (("--random", "gnp", "--n", "70", "--count", "0"), "vertex count 70 outside supported range 0..64"),
-        (("--random", "gnp", "--n", "-1", "--count", "0"), "vertex count -1 outside supported range 0..64"),
-        (("--random", "gnp", "--n", "63", "--count", "0"), "graph6 short form supports n <= 62, got 63"),
-        (("--random", "regular", "--n", "64", "--d", "2", "--count", "0"), "graph6 short form supports n <= 62, got 64"),
+        # a random model's arguments are checked even when no graph is drawn, and
+        # every out-of-range --n is named against the graph6 range 0..62
+        (("--random", "gnp", "--n", "70", "--count", "0"), "graph6 short form supports n in 0..62, got 70"),
+        (("--random", "gnp", "--n", "-1", "--count", "0"), "graph6 short form supports n in 0..62, got -1"),
+        (("--random", "gnp", "--n", "63", "--count", "0"), "graph6 short form supports n in 0..62, got 63"),
+        (("--random", "regular", "--n", "64", "--d", "2", "--count", "0"), "graph6 short form supports n in 0..62, got 64"),
         (("--random", "gnp", "--p", "1.5", "--count", "0"), "edge probability must be in [0, 1], got 1.5"),
         (("--random", "regular", "--n", "6", "--d", "9", "--count", "0"), "degree 9 infeasible for n=6"),
         (("--random", "regular", "--n", "5", "--d", "3", "--count", "0"), "n*d = 15 is odd"),
+        (("--random", "gnp", "--n", "65", "--count", "0"), "graph6 short form supports n in 0..62, got 65"),
+        # an order given twice would be swept twice
+        (("--exhaustive", "3,3", "--t", "2:3"), "exhaustive vertex counts must be distinct, got 3,3"),
+        (("--exhaustive", "1,2,1"), "exhaustive vertex counts must be distinct, got 1,2,1"),
     ])
     def test_negative_sweep_numbers_exit_2_before_any_graph(self, capsys, monkeypatch, argv, named):
         import cliquebounds.cli as cli

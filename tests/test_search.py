@@ -298,6 +298,26 @@ def test_random_source_reproducible():
     assert list(source.graphs()) == pairs and seeds[5:] == seeds[:5]
 
 
+def test_sources_write_only_kept_witnesses(monkeypatch):
+    """A built graph's graph6 is written once it has passed the filters, and only then."""
+    import cliquebounds.search as search
+
+    calls = 0
+    write = search.write_graph6
+
+    def counted(g):
+        nonlocal calls
+        calls += 1
+        return write(g)
+
+    monkeypatch.setattr(search, "write_graph6", counted)
+    for source in (GraphSource.exhaustive((1, 2, 3, 4, 5, 6), connected_only=True),
+                   GraphSource.random(functools.partial(random_gnp, 7, 0.3), 60, 5, max_edges=5)):
+        calls = 0
+        kept = list(source.graphs())
+        assert 0 < calls == len(kept) < len(list(source.pairs()))
+
+
 def test_exhaustive_source_restarts():
     source = GraphSource.exhaustive((3, 4))
     first = list(source.graphs())
